@@ -185,6 +185,8 @@ def cmd_construct(args):
         rows = [(n, seq.q(n), stream.digit(n)) for n in range(1, args.n + 1)]
         emit_csv(rows, ["n", "q_n", "E_n"], args.out)
         return EXIT_OK
+    if args.base is None:
+        raise SpecError(f"construct {args.what} needs --base")
     base = parse_seq(args.base)
     stream = _stream_from_args(base, args)
     if args.what == "nnotdn":
@@ -202,6 +204,9 @@ def cmd_construct(args):
 
 
 def cmd_dimension(args):
+    for name in ("q",) if args.what == "wegmann" else ("p", "q"):
+        if getattr(args, name) is None:
+            raise SpecError(f"dimension {args.what} needs --{name}")
     p = parse_seq(args.p) if args.p else None
     q = parse_seq(args.q) if args.q else None
     if args.what == "wegmann":

@@ -5,14 +5,20 @@ with 0 <= E_n < q_n, so that x = e0 + sum E_n / (q_1...q_n).  The canonical
 convention: E_n != q_n - 1 infinitely often.  Points with a terminating
 expansion have a second, all-(q_n - 1)-tail representation; streams carry a
 tag saying which form they are.
+
+Digits are materialised in bulk: every read that runs past the memo calls
+the stream's `_fill(n)` once, which extends the memo to exactly n digits.
+Rule-backed streams call their rule per digit there; rational expansions,
+terminating streams, their dual forms and psi images override `_fill` with
+tight loops (rational remainders are integers over the fixed denominator).
+Exact prefix sums go through `horner`, with one Fraction at the end.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .seqcore import BasicSeq, SpecError
 
@@ -26,9 +32,11 @@ class DigitStream:
 
     max_tail_start = k means digits are q_j - 1 for all j >= k (the
     non-canonical dual form of a terminating point); None otherwise.
+    Subclasses that materialise digits without a rule pass rule=None and
+    override `_fill`.
     """
 
-    def __init__(self, base: BasicSeq, rule: Callable[[int], int],
+    def __init__(self, base: BasicSeq, rule: Optional[Callable[[int], int]],
                  e0: int = 0, canonicity: str = UNKNOWN,
                  last_nonzero: Optional[int] = None,
                  max_tail_start: Optional[int] = None,
@@ -41,30 +49,58 @@ class DigitStream:
         self.max_tail_start = max_tail_start
         self.label = label
         self._memo: list[int] = []
-        self._lock = threading.Lock()
+
+    def _fill(self, n: int) -> None:
+        """Extend the memo to n digits (n > len(memo)) through the rule."""
+        memo, rule, q = self._memo, self._rule, self.base.q
+        for j in range(len(memo) + 1, n + 1):
+            d = rule(j)
+            qj = q(j)
+            if not 0 <= d < qj:
+                raise SpecError(f"digit E_{j} = {d} outside [0, {qj})")
+            memo.append(d)
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise SpecError(f"digit index {n} < 1")
         if n > len(self._memo):
-            with self._lock:
-                while len(self._memo) < n:
-                    j = len(self._memo) + 1
-                    d = self._rule(j)
-                    q = self.base.q(j)
-                    if not 0 <= d < q:
-                        raise SpecError(f"digit E_{j} = {d} outside [0, {q})")
-                    self._memo.append(d)
+            self._fill(n)
         return self._memo[n - 1]
 
     def digits(self, n: int) -> list[int]:
-        self.digit(n) if n >= 1 else None
-        return self._memo[:n]
+        return self._span(0, n)
+
+    def _span(self, lo: int, hi: int) -> list[int]:
+        """Digits E_{lo+1}..E_hi, without copying the prefix before them."""
+        if lo < 0:
+            raise SpecError(f"digit index {lo + 1} < 1")
+        if hi > len(self._memo):
+            self._fill(hi)
+        return self._memo[lo:hi]
 
     def __repr__(self):
         shown = ",".join(str(d) for d in self._memo[:8])
         return (f"DigitStream({self.label or self.base.kind}: {self.e0}."
                 f"{shown}...; {self.canonicity})")
+
+
+class _HeadStream(DigitStream):
+    """Fixed head digits, then zeros (a terminating form) or q_j - 1 for
+    every later j (the dual form of a terminating point)."""
+
+    def __init__(self, base: BasicSeq, head: list[int], max_tail: bool, **kw):
+        super().__init__(base, None, **kw)
+        self._head = head
+        self._max_tail = max_tail
+
+    def _fill(self, n: int) -> None:
+        memo = self._memo
+        memo += self._head[len(memo):n]
+        if self._max_tail:
+            q = self.base.q
+            memo += [q(j) - 1 for j in range(len(memo) + 1, n + 1)]
+        else:
+            memo += [0] * (n - len(memo))
 
 
 def from_digits(base: BasicSeq, digits: list[int], e0: int = 0) -> DigitStream:
@@ -77,8 +113,7 @@ def from_digits(base: BasicSeq, digits: list[int], e0: int = 0) -> DigitStream:
                             f"[0, {base.q(i + 1)})")
         if d:
             last = i + 1
-    rule = lambda n: digits[n - 1] if n <= len(digits) else 0
-    return DigitStream(base, rule, e0=e0, canonicity=TERMINATING,
+    return _HeadStream(base, digits, False, e0=e0, canonicity=TERMINATING,
                        last_nonzero=last if (last or e0) else 0)
 
 
@@ -88,53 +123,50 @@ def from_rule(base: BasicSeq, rule: Callable[[int], int], e0: int = 0,
 
 
 class RationalDigitStream(DigitStream):
-    """Multiply-and-floor expansion of an exact rational.
+    """Multiply-and-floor expansion of an exact rational x = a/b.
 
     Remainders are kept so tails are exact: after n digits,
     x = e0 + sum_{j<=n} E_j/(q_1..q_j) + remainder_n/(q_1..q_n)
-    with remainder_n in [0, 1).  Multiply-and-floor never produces an
+    with remainder_n = r_n/b in [0, 1).  Only the integer numerators r_n
+    over the fixed denominator b are stored; `_fill` takes one step per
+    digit, E_n, r_n = divmod(r_{n-1} * q_n, b), and `remainder(n)` builds
+    the Fraction on request.  Multiply-and-floor never produces an
     all-max tail, so the result is the canonical expansion; if some
-    remainder hits 0 the expansion terminates and the tag says so.
+    remainder hits 0 the expansion terminates, the tag says so and
+    last_nonzero is the digit where it did.
     """
 
     def __init__(self, x: Fraction, base: BasicSeq):
         x = Fraction(x)
         e0 = x.numerator // x.denominator
-        self._rems: list[Fraction] = [x - e0]
-        self._terminated_at: Optional[int] = 0 if x == e0 else None
-        super().__init__(base, self._next, e0=e0, canonicity=CANONICAL,
+        super().__init__(base, None, e0=e0, canonicity=CANONICAL,
                          label=f"expand({x})")
         self.value = x
-        if self._terminated_at is not None:
+        self._den = x.denominator
+        self._rems: list[int] = [x.numerator - e0 * x.denominator]
+        if self._rems[0] == 0:
             self.canonicity = TERMINATING
             self.last_nonzero = 0
 
-    def _next(self, n: int) -> int:
-        # digits are materialized in order by DigitStream.digit
-        r = self._rems[n - 1]
-        q = self.base.q(n)
-        d = (r.numerator * q) // r.denominator
-        rn = r * q - d
-        self._rems.append(rn)
-        if rn == 0 and self._terminated_at is None:
-            self._terminated_at = n
+    def _fill(self, n: int) -> None:
+        memo, rems, b, q = self._memo, self._rems, self._den, self.base.q
+        start = len(memo)
+        r = rems[-1]
+        for j in range(start + 1, n + 1):
+            d, r = divmod(r * q(j), b)
+            memo.append(d)
+            rems.append(r)
+        if r == 0 and self.last_nonzero is None:
+            # a zero remainder stays zero, and the digit that first reaches
+            # it is nonzero (r_{t-1} q_t = E_t b with r_{t-1} > 0)
+            self.last_nonzero = rems.index(0, start + 1)
             self.canonicity = TERMINATING
-            self.last_nonzero = n if d else self.last_nonzero
-        return d
-
-    def digit(self, n: int) -> int:
-        d = super().digit(n)
-        # keep last_nonzero honest once termination is known
-        if self._terminated_at is not None and self.last_nonzero is None:
-            self.last_nonzero = max(
-                (i + 1 for i, v in enumerate(self._memo[:self._terminated_at]) if v),
-                default=0)
-        return d
 
     def remainder(self, n: int) -> Fraction:
         """Exact tail sum_{j>n} E_j/(q_{n+1}..q_j), in [0, 1)."""
-        self.digit(n) if n >= 1 else None
-        return self._rems[n]
+        if n > len(self._memo):
+            self._fill(n)
+        return Fraction(self._rems[n], self._den)
 
 
 def expand_rational(x, base: BasicSeq) -> RationalDigitStream:
@@ -158,16 +190,30 @@ class Enclosure:
         return self.lo <= v <= self.hi
 
 
+def horner(q: Callable[[int], int], digits: Iterable[int],
+           start: int = 0) -> tuple[int, int]:
+    """Integers (num, den) with den = q_{start+1}..q_{start+k} and
+    num/den = sum_{i<=k} d_i/(q_{start+1}..q_{start+i}) for the digits
+    d_1..d_k at positions start+1..start+k.
+
+    One Horner step per digit (num = num*q + d, den *= q), so exact prefix
+    sums pay no gcd until the caller builds its Fraction.
+    """
+    num, den = 0, 1
+    for j, d in enumerate(digits, start + 1):
+        qj = q(j)
+        num = num * qj + d
+        den *= qj
+    return num, den
+
+
 def enclose_prefix(stream: DigitStream, n: int) -> Enclosure:
     """Exact interval containing the stream's value, from its first n digits."""
     if n < 0:
         raise SpecError(f"depth {n} < 0")
-    lo = Fraction(stream.e0)
-    prod = 1
-    for j in range(1, n + 1):
-        prod *= stream.base.q(j)
-        lo += Fraction(stream.digit(j), prod)
-    return Enclosure(lo, lo + Fraction(1, prod))
+    num, den = horner(stream.base.q, stream.digits(n))
+    lo = stream.e0 * den + num
+    return Enclosure(Fraction(lo, den), Fraction(lo + 1, den))
 
 
 def stream_value(stream: DigitStream, depth: int = 64) -> Enclosure:
@@ -195,20 +241,14 @@ def shift_T(stream: DigitStream, n: int, depth: Optional[int] = None) -> Enclosu
         r = stream.remainder(n)
         return Enclosure(r, r)
     if stream.canonicity == TERMINATING and stream.last_nonzero is not None:
-        lo = Fraction(0)
-        prod = 1
-        for j in range(n + 1, max(n, stream.last_nonzero) + 1):
-            prod *= stream.base.q(j)
-            lo += Fraction(stream.digit(j), prod)
-        return Enclosure(lo, lo)
+        num, den = horner(stream.base.q,
+                          stream._span(n, max(n, stream.last_nonzero)), n)
+        v = Fraction(num, den)
+        return Enclosure(v, v)
     if depth is None:
         depth = 40
-    lo = Fraction(0)
-    prod = 1
-    for j in range(n + 1, n + depth + 1):
-        prod *= stream.base.q(j)
-        lo += Fraction(stream.digit(j), prod)
-    return Enclosure(lo, lo + Fraction(1, prod))
+    num, den = horner(stream.base.q, stream._span(n, n + depth), n)
+    return Enclosure(Fraction(num, den), Fraction(num + 1, den))
 
 
 def detect_max_tail(stream: DigitStream, window: int = 256) -> Optional[int]:
@@ -247,10 +287,7 @@ def canonicalize(stream: DigitStream, window: int = 256) -> DigitStream:
             e0 = stream.e0
             head = head[:-1] + [head[-1] - 1]
 
-        def rule(n, head=head, t=t):
-            return head[n - 1] if n <= t else base.q(n) - 1
-
-        return DigitStream(base, rule, e0=e0, canonicity=UNKNOWN,
+        return _HeadStream(base, head, True, e0=e0, canonicity=UNKNOWN,
                            max_tail_start=t + 1, label="dual")
     k = detect_max_tail(stream, window)
     if k is not None:

@@ -26,11 +26,12 @@ def count_blocks(stream: DigitStream, block: Sequence[int], n: int,
     k = len(block)
     if k < 1:
         raise SpecError("block must be nonempty")
-    count = 0
-    for j in range(start, start + n):
-        if all(stream.digit(j + i) == block[i] for i in range(k)):
-            count += 1
-    return count
+    if n < 1:
+        return 0
+    if start < 1:
+        raise SpecError(f"digit index {start} < 1")
+    digits = stream.digits(start + n + k - 2)
+    return sum(digits[j:j + k] == block for j in range(start - 1, start - 1 + n))
 
 
 def cumulative_block_counts(stream: DigitStream, block: Sequence[int],
@@ -221,10 +222,10 @@ def accumulation_estimate(stream: DigitStream, n: int, grid: int = 100) -> Accum
     level-set and Delta-cell arguments care about; the late-half window
     drops transient early digits.
     """
-    hits = set()
-    for m in range(n // 2 + 1, n + 1):
-        r = Fraction(stream.digit(m), stream.base.q(m))
-        hits.add(min(int(r * grid), grid - 1))
+    q = stream.base.q
+    lo = n // 2
+    hits = {min(d * grid // q(m), grid - 1)
+            for m, d in enumerate(stream._span(lo, n), lo + 1)}
     cells = sorted(hits)
     return AccumulationReport(n=n, grid=grid, hit_cells=cells,
                               coverage=len(cells) / grid)
@@ -234,13 +235,11 @@ def golden_ratio_stream(q_seq: BasicSeq, precision_bits: int = 256) -> DigitStre
     """Digits E_n = floor(theta_n q_n) with theta_n = frac(n * g), g the
     golden-section constant at fixed rational precision.  A deterministic
     low-discrepancy digit source for tests and examples."""
-    from fractions import Fraction as F
-    isqrt5 = math.isqrt(5 << (2 * precision_bits))
-    g = F(isqrt5 - (1 << precision_bits), 1 << precision_bits)  # ~ (sqrt5-1)/2
+    one = 1 << precision_bits
+    g = math.isqrt(5 << (2 * precision_bits)) - one   # g / one ~ (sqrt5-1)/2
 
     def rule(n: int) -> int:
-        theta = n * g
-        theta -= theta.numerator // theta.denominator
-        return int(theta * q_seq.q(n))
+        # floor(frac(n g / one) * q_n), in integers
+        return (n * g % one * q_seq.q(n)) >> precision_bits
 
     return DigitStream(q_seq, rule, canonicity="unknown", label="golden")

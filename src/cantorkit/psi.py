@@ -23,6 +23,21 @@ from .digitstream import (DigitStream, Enclosure, RationalDigitStream,
                           expand_rational, from_digits, detect_max_tail)
 
 
+class _ImageStream(DigitStream):
+    """The digits min(E_n, q_n - 1) of a source stream, over q_seq."""
+
+    def __init__(self, stream: DigitStream, q_seq: BasicSeq):
+        super().__init__(q_seq, None, e0=stream.e0, canonicity=UNKNOWN,
+                         label="psi")
+        self._source = stream
+
+    def _fill(self, n: int) -> None:
+        memo, q = self._memo, self.base.q
+        start = len(memo)
+        memo += [min(d, q(j) - 1)
+                 for j, d in enumerate(self._source._span(start, n), start + 1)]
+
+
 def psi_map(stream: DigitStream, q_seq: BasicSeq,
             canonicity_window: int = 0) -> DigitStream:
     """Image stream: digits min(E_n, q_n - 1) over q_seq.
@@ -31,8 +46,7 @@ def psi_map(stream: DigitStream, q_seq: BasicSeq,
     result is tagged unknown; pass canonicity_window > 0 to scan that many
     digits for tail evidence (detect_max_tail) and record it.
     """
-    out = DigitStream(q_seq, lambda n: min(stream.digit(n), q_seq.q(n) - 1),
-                      e0=stream.e0, canonicity=UNKNOWN, label="psi")
+    out = _ImageStream(stream, q_seq)
     if canonicity_window:
         out.max_tail_start = detect_max_tail(out, canonicity_window)
     return out

@@ -278,6 +278,11 @@ def from_spec(spec: dict) -> BasicSeq:
             return SEQ_REGISTRY[kind](**args)
     except KeyError as e:
         raise SpecError(f"spec for kind {kind!r} missing field {e}") from None
+    except SpecError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SpecError(f"spec for kind {kind!r} has a malformed field: "
+                        f"{e}") from None
     raise SpecError(f"unknown sequence kind {kind!r}")
 
 

@@ -1,7 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,19 @@ def test_bad_entry_exit_code(capsys):
     rc = cli.main(["digits", "--base", '{"kind":"constant","value":1}',
                    "--x", "1/2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["digits", "--base", '{"kind":"constant","value":"x"}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"periodic","values":3}', "--x", "1/2"],
+    ["dimension", "range", "--q", C3],
+    ["construct", "nnotdn"],
+], ids=["constant-value-not-int", "periodic-values-not-list",
+        "dimension-range-without-p", "construct-nnotdn-without-base"])
+def test_malformed_input_exits_2_without_traceback(args):
+    # a fresh interpreter, so an uncaught exception shows as a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cantorkit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """Tests for digit streams, rational expansion, and canonicalization."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cantorkit as ck
 from cantorkit.digitstream import (
     CANONICAL,
+    Enclosure,
     TERMINATING,
     canonicalize,
     detect_max_tail,
@@ -18,7 +20,9 @@ from cantorkit.digitstream import (
     shift_T,
     stream_value,
 )
-from cantorkit.seqcore import Constant, Explicit, Periodic, SpecError
+from cantorkit.psi import psi_map
+from cantorkit.seqcore import (IID, Affine, Concatenated, Constant, Explicit,
+                               Formula, Geometric, Periodic, SpecError)
 
 
 @st.composite
@@ -123,3 +127,122 @@ def test_remainder_tracks_expansion():
     r = s.remainder(4)
     v = sum(Fraction(d, 3 ** (n + 1)) for n, d in enumerate(s.digits(4)))
     assert v + r / 3 ** 4 == Fraction(5, 7)
+
+
+# -- the integer kernel and the bulk fill, against plain Fraction routes -----
+
+_small = st.integers(2, 7)
+every_base_kind = st.one_of(
+    _small.map(Constant),
+    st.lists(_small, min_size=1, max_size=4).map(Periodic),
+    st.tuples(st.lists(_small, max_size=4), _small).map(
+        lambda t: Explicit(t[0], Constant(t[1]))),
+    st.tuples(st.integers(2, 5), st.integers(0, 2)).map(lambda t: Affine(*t)),
+    st.tuples(st.integers(1, 3), st.integers(2, 3)).map(
+        lambda t: Geometric(*t)),
+    st.tuples(st.integers(2, 3), st.integers(3, 9), st.integers(0, 99)).map(
+        lambda t: IID(*t)),
+    st.lists(_small, min_size=1, max_size=3).map(
+        lambda v: Concatenated([(Periodic(v), 2, len(v)),
+                                (Constant(v[0]), None, 1)])),
+    _small.map(lambda c: Formula(lambda n: n % 3 + c)),
+)
+
+
+def _multiply_and_floor(x, base, n):
+    """Digits and remainders of x, one Fraction step per digit."""
+    r = x - math.floor(x)
+    digits, rems = [], [r]
+    for j in range(1, n + 1):
+        t = r * base.q(j)
+        digits.append(math.floor(t))
+        r = t - math.floor(t)
+        rems.append(r)
+    return digits, rems
+
+
+@given(num=st.integers(-60, 400), den=st.integers(1, 300),
+       base=every_base_kind, n=st.integers(0, 40))
+@settings(max_examples=200)
+def test_integer_kernel_matches_fraction_multiply_and_floor(num, den, base, n):
+    x = Fraction(num, den)
+    s = expand_rational(x, base)
+    digits, rems = _multiply_and_floor(x, base, n)
+    assert s.e0 == math.floor(x)
+    assert s.digits(n) == digits
+    assert [s.remainder(k) for k in range(n + 1)] == rems
+    if 0 in rems:
+        assert s.canonicity == TERMINATING
+        assert s.last_nonzero == rems.index(0)
+    else:
+        assert s.canonicity == CANONICAL and s.last_nonzero is None
+
+
+STREAM_KINDS = {
+    "rational": lambda base, x: expand_rational(x, base),
+    "rule": lambda base, x: from_rule(base, lambda n: (3 * n + 1) % base.q(n)),
+    "digits": lambda base, x: from_digits(base, expand_rational(x, base).digits(5)),
+    "dual": lambda base, x: canonicalize(
+        from_digits(base, expand_rational(x, base).digits(5))),
+    "image": lambda base, x: psi_map(expand_rational(x, base), Constant(3)),
+}
+
+
+@given(x=unit_fraction(), base=every_base_kind,
+       kind=st.sampled_from(sorted(STREAM_KINDS)),
+       reads=st.lists(st.tuples(st.sampled_from(["digit", "digits", "shift"]),
+                                st.integers(1, 60)), max_size=8))
+@settings(max_examples=150)
+def test_partial_fills_in_any_order_match_one_fill(x, base, kind, reads):
+    make = STREAM_KINDS[kind]
+    whole = make(base, x)
+    one = whole.digits(120)
+    s = make(base, x)
+    for how, k in reads:
+        if how == "digit":
+            assert s.digit(k) == one[k - 1]
+        elif how == "digits":
+            assert s.digits(k) == one[:k]
+        else:
+            assert shift_T(s, k) == shift_T(whole, k)
+    assert s.digits(120) == one
+    assert (s.canonicity, s.last_nonzero) == (whole.canonicity, whole.last_nonzero)
+
+
+def _prefix_sum(stream, lo, hi):
+    """sum_{lo<j<=hi} E_j/(q_{lo+1}..q_j) term by term, and q_{lo+1}..q_hi."""
+    total, prod = Fraction(0), 1
+    for j in range(lo + 1, hi + 1):
+        prod *= stream.base.q(j)
+        total += Fraction(stream.digit(j), prod)
+    return total, prod
+
+
+@given(base=every_base_kind, n=st.integers(0, 30), depth=st.integers(1, 30),
+       head=st.lists(st.integers(0, 1), max_size=12))
+@settings(max_examples=100)
+def test_enclose_prefix_and_shift_T_match_term_by_term_sums(base, n, depth, head):
+    open_tail = from_rule(base, lambda j: (5 * j + 2) % base.q(j))
+    total, prod = _prefix_sum(open_tail, 0, n)
+    enc = enclose_prefix(open_tail, n)
+    assert (enc.lo, enc.hi) == (total, total + Fraction(1, prod))
+    total, prod = _prefix_sum(open_tail, n, n + depth)
+    enc = shift_T(open_tail, n, depth=depth)
+    assert (enc.lo, enc.hi) == (total, total + Fraction(1, prod))
+    terminating = from_digits(base, head, e0=2)
+    total, _ = _prefix_sum(terminating, n, max(n, terminating.last_nonzero))
+    enc = shift_T(terminating, n, depth=depth)
+    assert enc.lo == enc.hi == total
+
+
+@given(base=every_base_kind, head=st.lists(st.integers(0, 1), max_size=8),
+       e0=st.integers(0, 2))
+@settings(max_examples=100)
+def test_dual_form_has_max_tail_and_same_value(base, head, e0):
+    s = from_digits(base, head, e0=e0)
+    t = s.last_nonzero
+    dual = canonicalize(s)
+    assert dual.max_tail_start == t + 1
+    assert dual.digits(t + 20)[t:] == [base.q(j) - 1 for j in range(t + 1, t + 21)]
+    value = e0 + _prefix_sum(s, 0, len(head))[0]
+    assert stream_value(dual) == stream_value(s) == Enclosure(value, value)

@@ -1,13 +1,15 @@
 """Tests for block counting, normality weights, and discrepancy."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorkit.digitstream import expand_rational, from_digits
+from cantorkit.digitstream import expand_rational, from_digits, from_rule
 from cantorkit.normstats import (
+    accumulation_estimate,
     block_weight,
     count_blocks,
     cumulative_block_counts,
@@ -108,3 +110,49 @@ def test_ud_report_orbit_mode_has_enclosures():
     assert rep.mode == "orbit"
     assert rep.max_enclosure_width is not None
     assert all(0 <= d <= 1 for d in rep.discrepancy)
+
+
+@pytest.mark.parametrize("q, bits", [(Affine(2, 1), 256), (Periodic([3, 10, 7]), 64)])
+def test_golden_stream_matches_fraction_rule(q, bits):
+    g = Fraction(math.isqrt(5 << (2 * bits)) - (1 << bits), 1 << bits)
+
+    def fraction_rule(n):
+        theta = n * g
+        theta -= theta.numerator // theta.denominator
+        return int(theta * q.q(n))
+
+    assert golden_ratio_stream(q, bits).digits(2000) == \
+        [fraction_rule(n) for n in range(1, 2001)]
+
+
+@st.composite
+def digit_source(draw):
+    """A base, digits valid for it, and a stream of those digits built as a
+    terminating stream or through a rule."""
+    base = Periodic(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+    digits = [draw(st.integers(0, base.q(j) - 1)) for j in range(1, 61)]
+    if draw(st.booleans()):
+        return base, digits, from_digits(base, digits)
+    return base, digits, from_rule(base, lambda j: digits[j - 1] if j <= 60 else 0)
+
+
+@given(src=digit_source(), block=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       n=st.integers(0, 50), start=st.integers(1, 8))
+@settings(max_examples=100)
+def test_count_blocks_matches_position_by_position(src, block, n, start):
+    _, digits, stream = src
+    padded = digits + [0] * 10
+    want = sum(all(padded[j + i - 1] == b for i, b in enumerate(block))
+               for j in range(start, start + n))
+    assert count_blocks(stream, block, n, start) == want
+
+
+@given(src=digit_source(), n=st.integers(1, 60), grid=st.integers(1, 120))
+@settings(max_examples=100)
+def test_accumulation_estimate_matches_fraction_cells(src, n, grid):
+    base, digits, stream = src
+    cells = {min(int(Fraction(digits[m - 1], base.q(m)) * grid), grid - 1)
+             for m in range(n // 2 + 1, n + 1)}
+    rep = accumulation_estimate(stream, n, grid)
+    assert rep.hit_cells == sorted(cells)
+    assert rep.coverage == len(cells) / grid

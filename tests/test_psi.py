@@ -43,6 +43,23 @@ def test_psi_map_clamps_digits(p, q, data):
         assert y.digit(n) == min(digits[n - 1], q.q(n) - 1)
 
 
+@given(p=short_base, q=short_base, num=st.integers(0, 200),
+       den=st.integers(1, 200), cuts=st.lists(st.integers(1, 40), max_size=4))
+@settings(max_examples=80)
+def test_psi_map_image_of_rational_matches_fraction_clamp(p, q, num, den, cuts):
+    x = Fraction(num, den)
+    r, digits = x - x.numerator // x.denominator, []
+    for j in range(1, 41):       # multiply-and-floor, one Fraction per digit
+        t = r * p.q(j)
+        digits.append(t.numerator // t.denominator)
+        r = t - digits[-1]
+    image = psi_map(expand_rational(x, p), q)
+    for c in cuts:               # partial fills first, in the drawn order
+        assert image.digits(c) == [min(d, q.q(j) - 1)
+                                   for j, d in enumerate(digits[:c], 1)]
+    assert image.digits(40) == [min(d, q.q(j) - 1) for j, d in enumerate(digits, 1)]
+
+
 def test_psi_map_identity_when_q_dominates():
     p, q = Constant(3), Constant(5)
     x = expand_rational(Fraction(5, 9), p)
