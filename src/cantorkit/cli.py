@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed spec/arguments, 3 hypothesis violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -60,25 +61,38 @@ def _jsonable(obj):
     return obj
 
 
-def emit_json(data, out: Optional[str]):
-    # exact rationals from deep products can exceed the default str limit
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
-    text = json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def _long_int_str():
+    """Lift the interpreter's int-to-str digit limit inside the block only:
+    exact rationals from deep products can exceed the default 4300 digits."""
+    old = sys.get_int_max_str_digits()
+    if old:   # 0 already means no limit
+        sys.set_int_max_str_digits(max(old, 2_000_000))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _write(text: str, out: Optional[str]):
     if out:
         with open(out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def emit_json(data, out: Optional[str]):
+    with _long_int_str():
+        text = json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
+    _write(text, out)
 
 
 def emit_csv(rows, header, out: Optional[str]):
-    lines = [",".join(header)] + [",".join(str(c) for c in r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    """CSV of rows; cells are stringified here, under the lifted limit."""
+    with _long_int_str():
+        lines = [",".join(header)] + [",".join(str(c) for c in r) for r in rows]
+    _write("\n".join(lines) + "\n", out)
 
 
 def render_pgm(samples, width: int, height: int, out: str):
@@ -141,8 +155,7 @@ def cmd_psi_plot(args):
     p, q = parse_seq(args.p), parse_seq(args.q)
     samples = psi.sample_approximant(p, q, args.t, args.grid)
     if args.csv:
-        emit_csv([(str(x), str(y)) for x, y in samples], ["x", "psi_t"],
-                 args.csv)
+        emit_csv(samples, ["x", "psi_t"], args.csv)
     render_pgm(samples, args.width, args.width, args.out)
 
 

@@ -6,6 +6,11 @@ exact evaluators (values, finite-stage piecewise-linear approximants,
 integrals), the one-sided continuity classifier at terminating points, the
 total-variation formula for the finite stages, and the Hölder/monotonicity
 diagnostics.
+
+The finite-stage sums (approximant values and samples, the left limit at
+1, the integral, the variation and its upper bound) run on integers: P-digits
+come from integer remainders, sums over Q are Horner steps
+(num = num*q + d), and one Fraction is built at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from .seqcore import (Affine, BasicSeq, Constant, Explicit, Formula,
                       UndecidedError, truncate_tail)
 from .digitstream import (DigitStream, Enclosure, RationalDigitStream,
                           TERMINATING, UNKNOWN, enclose_prefix,
-                          expand_rational, from_digits, detect_max_tail)
+                          expand_rational, from_digits, detect_max_tail,
+                          horner)
 
 
 class _ImageStream(DigitStream):
@@ -144,15 +150,21 @@ def psi_value(p_seq: BasicSeq, q_seq: BasicSeq, x, horizon: int = 512):
 # ---------------------------------------------------------------------------
 # finite-stage approximants
 
-def _digits_of_fraction(p_seq: BasicSeq, frac: Fraction, t: int) -> list[int]:
-    digits = []
-    r = frac
-    for n in range(1, t + 1):
-        q = p_seq.q(n)
-        d = (r.numerator * q) // r.denominator
-        r = r * q - d
-        digits.append(d)
-    return digits
+def _stage_value(ps: Sequence[int], qs: Sequence[int], qprod: int,
+                 r: int, den: int) -> Fraction:
+    """Stage-t approximant at the point r/den in [0, 1), for the prefixes
+    ps, qs (length t) and qprod = q_1..q_t.
+
+    One integer step per position: the P-digit and remainder come from
+    divmod(r * p_n, den) and the clamped digit enters a Horner sum over Q.
+    After t steps frac - alpha = r/(den * p_1..p_t), so the affine in-cell
+    term is r/(den * qprod) and one Fraction is built at the end.
+    """
+    beta = 0
+    for p, q in zip(ps, qs):
+        d, r = divmod(r * p, den)
+        beta = beta * q + min(d, q - 1)
+    return Fraction(r + den * beta, den * qprod)
 
 
 def approximant_eval(p_seq: BasicSeq, q_seq: BasicSeq, t: int, x) -> Fraction:
@@ -163,25 +175,16 @@ def approximant_eval(p_seq: BasicSeq, q_seq: BasicSeq, t: int, x) -> Fraction:
     the fractional part.
     """
     x = Fraction(x)
-    frac = x - (x.numerator // x.denominator)
-    digits = _digits_of_fraction(p_seq, frac, t)
-    pprod = qprod = 1
-    alpha = beta = Fraction(0)
-    for n, e in enumerate(digits, start=1):
-        pprod *= p_seq.q(n)
-        qprod *= q_seq.q(n)
-        alpha += Fraction(e, pprod)
-        beta += Fraction(min(e, q_seq.q(n) - 1), qprod)
-    return Fraction(pprod, qprod) * (frac - alpha) + beta
+    qs = q_seq.prefix(t)
+    den = x.denominator
+    return _stage_value(p_seq.prefix(t), qs, math.prod(qs),
+                        x.numerator % den, den)
 
 
 def approximant_left_limit_at_one(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
-    qprod = 1
-    v = Fraction(0)
-    for n in range(1, t + 1):
-        qprod *= q_seq.q(n)
-        v += Fraction(min(p_seq.q(n) - 1, q_seq.q(n) - 1), qprod)
-    return v + Fraction(1, qprod)
+    num, qprod = horner(q_seq.q, (min(p_seq.q(n), q_seq.q(n)) - 1
+                                  for n in range(1, t + 1)))
+    return Fraction(num + 1, qprod)
 
 
 def approximant_bound(q_seq: BasicSeq, t: int) -> Fraction:
@@ -196,20 +199,20 @@ def approximant_integral(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
     """Exact integral of the stage-t approximant over [0, 1].
 
     Each clamped digit is uniform over its cell column, so position n
-    contributes its mean clamp value over 1/(q_1..q_n); the in-cell slope
-    term averages to half a cell height, 1/(2 q_1..q_t).
+    contributes its mean clamp value s_n/p_n over 1/(q_1..q_n); the in-cell
+    slope term averages to half a cell height, 1/(2 q_1..q_t).  The means
+    share the denominator L = lcm(p_1..p_t), so the sum is one Horner pass.
     """
-    qprod = 1
-    for n in range(1, t + 1):
-        qprod *= q_seq.q(n)
-    total = Fraction(1, 2 * qprod)
-    qq = 1
-    for n in range(1, t + 1):
-        p, q = p_seq.q(n), q_seq.q(n)
-        qq *= q
-        s_min = sum(min(e, q - 1) for e in range(p))
-        total += Fraction(s_min, p * qq)
-    return total
+    ps = p_seq.prefix(t)
+    L = math.lcm(*set(ps))
+
+    def mean_times_L(p: int, q: int) -> int:
+        m = min(p, q)   # s_n = sum over e < p of min(e, q - 1)
+        return (m * (m - 1) // 2 + (p - m) * (q - 1)) * (L // p)
+
+    num, qprod = horner(q_seq.q, (mean_times_L(p, q_seq.q(n))
+                                  for n, p in enumerate(ps, 1)))
+    return Fraction(2 * num + L, 2 * L * qprod)
 
 
 def approximant_integral_oracle(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
@@ -232,7 +235,9 @@ def approximant_integral_oracle(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fra
 def sample_approximant(p_seq: BasicSeq, q_seq: BasicSeq, t: int,
                        grid: int) -> list[tuple[Fraction, Fraction]]:
     """(x, stage-t value) on the uniform grid i/grid, i = 0..grid-1."""
-    return [(Fraction(i, grid), approximant_eval(p_seq, q_seq, t, Fraction(i, grid)))
+    ps, qs = p_seq.prefix(t), q_seq.prefix(t)
+    qprod = math.prod(qs)
+    return [(Fraction(i, grid), _stage_value(ps, qs, qprod, i, grid))
             for i in range(grid)]
 
 
@@ -420,8 +425,10 @@ def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationRepo
     if t < 2 or ps[-1] == qs[-1]:
         v = variation_oracle(p_seq, q_seq, t)
         return VariationReport(t=t, value=v, method="oracle", upper_bound=None)
-    D = math.prod(qs)
-    w = [math.prod(qs[k + 1:]) for k in range(t)]     # q_{k+2}..q_t
+    w = [1] * t                        # w[k] = q_{k+2}..q_t
+    for k in range(t - 2, -1, -1):
+        w[k] = w[k + 1] * qs[k + 1]
+    D = w[0] * qs[0]
     # S_k = sum_{j>k} min(p_j-1, q_j-1) * w_j  (units 1/D)
     S = [0] * (t + 1)
     for k in range(t - 1, -1, -1):
@@ -429,25 +436,24 @@ def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationRepo
     vnum = 0
     mult = 1   # a type-(k, E) boundary occurs once per choice of leading digits
     for k in range(t):
-        q = qs[k]
-        inner = 0
-        for e in range(1, ps[k]):
-            inc = min(e, q - 1) - min(e - 1, q - 1)
-            inner += abs(inc * w[k] - S[k + 1] - 1)
+        # digits E = 1..p-1 raise the clamped digit by 1 while E <= q - 1,
+        # then by 0: c boundaries of one kind, p - 1 - c of the other
+        c = min(ps[k], qs[k]) - 1
+        inner = c * abs(w[k] - S[k + 1] - 1) + (ps[k] - 1 - c) * (S[k + 1] + 1)
         vnum += mult * inner
         mult *= ps[k]
     vnum += S[0] + 1                  # left limit at 1
     pprod = math.prod(ps)
     vnum += pprod                     # slope * total length
-    ub = Fraction(0)
-    qq = 1
+    # upper bound: 2 sum_{j>=2} (p_1+..+p_{j-1})(p_j+q_j)/(q_1..q_j), as
+    # one Horner pass over Q whose first coefficient is 0
+    coeffs = []
     sum_p = 0
-    for j in range(t):
-        qq *= qs[j]
-        if j > 0:
-            ub += Fraction(sum_p * (ps[j] + qs[j]), qq)
-        sum_p += ps[j]
-    ub = 2 * ub + 2 * Fraction(pprod, D) + 1
+    for p, q in zip(ps, qs):
+        coeffs.append(sum_p * (p + q))
+        sum_p += p
+    ub_num, _ = horner(q_seq.q, coeffs)
+    ub = Fraction(2 * ub_num + 2 * pprod + D, D)
     return VariationReport(t=t, value=Fraction(vnum, D), method="formula",
                            upper_bound=ub)
 

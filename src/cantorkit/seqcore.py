@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -235,15 +234,12 @@ class IID(BasicSeq):
         self.lo, self.hi, self.seed = lo, hi, int(seed)
         self._rng = random.Random(self.seed)
         self._memo: list[int] = []
-        self._lock = threading.Lock()
 
     def q(self, n: int) -> int:
         if n < 1:
             raise SpecError(f"index {n} < 1")
-        if n > len(self._memo):
-            with self._lock:
-                while len(self._memo) < n:
-                    self._memo.append(self._rng.randint(self.lo, self.hi))
+        while len(self._memo) < n:
+            self._memo.append(self._rng.randint(self.lo, self.hi))
         return self._memo[n - 1]
 
     def describe(self) -> dict:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorkit import cli
+from cantorkit import cli, psi
 
 C2 = '{"kind":"constant","value":2}'
 C3 = '{"kind":"constant","value":3}'
@@ -155,3 +155,41 @@ def test_malformed_input_exits_2_without_traceback(args):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_psi_plot_csv_at_deep_stage_exits_0(tmp_path):
+    # stage 4400 over Q = 10 gives values with more than 4300 digits, the
+    # interpreter's default limit for int-to-str conversion
+    csv, pgm = tmp_path / "o.csv", tmp_path / "o.pgm"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cantorkit.cli", "psi-plot",
+                           "--p", C3, "--q", C10, "--t", "4400", "--grid", "2",
+                           "--csv", str(csv), "--out", str(pgm)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "x,psi_t"
+    want = psi.sample_approximant(cli.parse_seq(C3), cli.parse_seq(C10), 4400, 2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)    # parsing the rows back needs no limit
+    try:
+        rows = [tuple(map(Fraction, line.split(","))) for line in lines[1:]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rows == want
+
+
+def test_emitters_leave_int_str_limit_unchanged(capsys):
+    # start from the interpreter's default, whatever earlier tests left
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        cli.emit_json({"v": Fraction(10 ** 5000, 3)}, None)
+        assert sys.get_int_max_str_digits() == 4300
+        cli.emit_csv([(Fraction(1, 10 ** 5000),)], ["v"], None)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+    out = capsys.readouterr().out
+    assert f'"1{"0" * 5000}/3"' in out and f"1/1{'0' * 5000}" in out

@@ -1,10 +1,11 @@
 """Tests for the digit-clamping map, its approximants, and variation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cantorkit as ck
 from cantorkit.digitstream import expand_rational, from_digits, stream_value
@@ -22,10 +23,11 @@ from cantorkit.psi import (
     psi_map,
     psi_terminating_value,
     psi_value,
+    sample_approximant,
     variation_formula,
     variation_oracle,
 )
-from cantorkit.seqcore import Constant, Explicit, Formula, Periodic
+from cantorkit.seqcore import Affine, Constant, Explicit, Formula, IID, Periodic
 
 
 short_base = st.lists(st.integers(2, 6), min_size=2, max_size=6).map(
@@ -210,3 +212,103 @@ def test_ed_transform_identity_and_gap_sum():
     assert rep.min_p >= 3
     assert p_seq.q(1) == 4
     assert rep.gap_sum_partial == sum(Fraction(1, n + 4) for n in range(1, 501))
+
+
+# -- the integer stage kernel, against a term-by-term Fraction route ---------
+
+_entry = st.integers(2, 9)
+stage_base = st.one_of(
+    _entry.map(Constant),
+    st.lists(_entry, min_size=1, max_size=4).map(Periodic),
+    st.tuples(st.lists(_entry, max_size=5), _entry).map(
+        lambda t: Explicit(t[0], Constant(t[1]))),
+    st.tuples(st.integers(2, 5), st.integers(0, 2)).map(lambda t: Affine(*t)),
+    st.tuples(st.integers(2, 3), st.integers(3, 9), st.integers(0, 99)).map(
+        lambda t: IID(*t)),
+)
+
+
+def _stage_route(p, q, t, x):
+    """Stage-t approximant at x: the first t P-digits of frac(x) by Fraction
+    multiply-and-floor, the clamped sum term by term, plus
+    (p_1..p_t / q_1..q_t) * (frac - alpha)."""
+    frac = x - math.floor(x)
+    r, alpha, beta, pprod, qprod = frac, Fraction(0), Fraction(0), 1, 1
+    for n in range(1, t + 1):
+        y = r * p.q(n)
+        e = math.floor(y)
+        r = y - e
+        pprod *= p.q(n)
+        qprod *= q.q(n)
+        alpha += Fraction(e, pprod)
+        beta += Fraction(min(e, q.q(n) - 1), qprod)
+    return Fraction(pprod, qprod) * (frac - alpha) + beta
+
+
+@given(p=stage_base, q=stage_base, t=st.integers(0, 30),
+       grid=st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_sample_approximant_equals_fraction_route(p, q, t, grid):
+    samples = sample_approximant(p, q, t, grid)
+    assert samples == [(Fraction(i, grid), _stage_route(p, q, t, Fraction(i, grid)))
+                       for i in range(grid)]
+
+
+@given(p=stage_base, q=stage_base, t=st.integers(0, 30),
+       num=st.integers(-2000, 2000), den=st.integers(1, 300))
+@settings(max_examples=120, deadline=None)
+def test_approximant_eval_equals_fraction_route_off_unit_interval(p, q, t, num, den):
+    # x >= 1 and x < 0 wrap mod 1 through the remainder num mod den
+    x = Fraction(num, den)
+    assert approximant_eval(p, q, t, x) == _stage_route(p, q, t, x)
+
+
+@given(p=stage_base, q=stage_base, t=st.integers(0, 30))
+@settings(max_examples=80, deadline=None)
+def test_left_limit_at_one_extends_the_last_cell(p, q, t):
+    # the last level-t cell [1 - 1/pprod, 1) has the digits p_n - 1; the
+    # approximant rises there with slope pprod/qprod up to its left limit
+    pprod = math.prod(p.prefix(t))
+    qprod = math.prod(q.prefix(t))
+    mid = 1 - Fraction(1, 2 * pprod)
+    want = _stage_route(p, q, t, mid) + Fraction(1, 2 * qprod)
+    assert approximant_left_limit_at_one(p, q, t) == want
+    terms = sum(Fraction(min(p.q(n), q.q(n)) - 1, math.prod(q.prefix(n)))
+                for n in range(1, t + 1))
+    assert want == terms + Fraction(1, qprod)
+
+
+@given(p=stage_base, q=stage_base, t=st.integers(0, 400))
+@settings(max_examples=30, deadline=None)
+def test_integral_equals_term_by_term_mean_clamp(p, q, t):
+    total, qq = Fraction(1, 2 * math.prod(q.prefix(t))), 1
+    for n in range(1, t + 1):
+        qq *= q.q(n)
+        clamps = [min(e, q.q(n) - 1) for e in range(p.q(n))]
+        total += Fraction(sum(clamps), len(clamps) * qq)
+    assert approximant_integral(p, q, t) == total
+
+
+@given(p=stage_base, q=stage_base, t=st.integers(2, 60))
+@settings(max_examples=60, deadline=None)
+def test_variation_upper_bound_equals_double_sum(p, q, t):
+    assume(p.q(t) != q.q(t))    # else the formula hands over to the oracle
+    ps, qs = p.prefix(t), q.prefix(t)
+    rep = variation_formula(p, q, t)
+    double = sum(Fraction(ps[k] * (ps[j] + qs[j]), math.prod(qs[:j + 1]))
+                 for j in range(1, t) for k in range(j))
+    assert rep.method == "formula"
+    assert rep.upper_bound == 2 * double + 2 * Fraction(math.prod(ps),
+                                                        math.prod(qs)) + 1
+
+
+@given(data=st.data(), t=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_variation_formula_matches_oracle_wide_digits(data, t):
+    # entries up to 9 on both sides, so boundaries where the clamp stops
+    # rising (E >= q) and where it rises with every digit both occur
+    ps = [data.draw(st.integers(2, 9)) for _ in range(t)]
+    qs = [data.draw(st.integers(2, 9)) for _ in range(t)]
+    p, q = Explicit(ps, Constant(2)), Explicit(qs, Constant(2))
+    rep = variation_formula(p, q, t)
+    assert rep.value == variation_oracle(p, q, t)
