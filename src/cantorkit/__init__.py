@@ -12,8 +12,7 @@ from .seqcore import (Affine, BasicSeq, Concatenated, Constant, Explicit,
                       prefix_products, sample_iid, truncate_tail)
 from .digitstream import (DigitStream, Enclosure, RationalDigitStream,
                           canonicalize, enclose_prefix, expand_rational,
-                          from_digits, from_rule, rho_and_membership, shift_T,
-                          stream_value)
+                          from_digits, from_rule, shift_T, stream_value)
 from .psi import (approximant_bound, approximant_eval, approximant_integral,
                   bv_check, classify_continuity, compose_chain, ed_transform,
                   holder_report, monotonicity_witness, psi_map, psi_value,

@@ -52,12 +52,8 @@ def _jsonable(obj):
         return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "-inf" if obj < 0 else "inf"
-        return obj
-    if callable(obj):
-        return None
+    if isinstance(obj, float) and math.isinf(obj):
+        return "-inf" if obj < 0 else "inf"
     return obj
 
 

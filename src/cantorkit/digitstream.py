@@ -297,43 +297,3 @@ def canonicalize(stream: DigitStream, window: int = 256) -> DigitStream:
         head = head[:-1] + [head[-1] + 1]
         return from_digits(base, head, e0=stream.e0)
     return stream
-
-
-@dataclass
-class RunReport:
-    n: int
-    digit_bound_ok: bool           # E_j < min(p_j, q_j) for all j <= n
-    first_violation: Optional[int]
-    longest_run_source: int        # longest run of E_j in {0, p_j - 1}
-    longest_run_image: int         # same for image digits in {0, q_j - 1}
-    member_at_level: Optional[int] # smallest k admitting x, None if bound fails
-
-
-def rho_and_membership(stream: DigitStream, p_seq: BasicSeq, q_seq: BasicSeq,
-                       k: Optional[int], n: int) -> RunReport:
-    """Run statistics behind the bi-Lipschitz restriction domain.
-
-    Scans E_1..E_n: checks E_j < min(p_j, q_j); measures the longest run of
-    digits in {0, p_j - 1} on the source side and, for the digitwise image
-    min(E_j, q_j - 1), the longest run in {0, q_j - 1}.  Membership at
-    level k needs the bound plus both runs <= k.
-    """
-    ok = True
-    first_bad = None
-    run_s = run_i = best_s = best_i = 0
-    for j in range(1, n + 1):
-        e = stream.digit(j)
-        p, q = p_seq.q(j), q_seq.q(j)
-        if e >= min(p, q):
-            ok = False
-            if first_bad is None:
-                first_bad = j
-        run_s = run_s + 1 if e in (0, p - 1) else 0
-        best_s = max(best_s, run_s)
-        f = min(e, q - 1)
-        run_i = run_i + 1 if f in (0, q - 1) else 0
-        best_i = max(best_i, run_i)
-    level = max(best_s, best_i) if ok else None
-    return RunReport(n=n, digit_bound_ok=ok, first_violation=first_bad,
-                     longest_run_source=best_s, longest_run_image=best_i,
-                     member_at_level=level)

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .seqcore import (BasicSeq, Formula, SEQ_REGISTRY, SpecError,
                       HypothesisError)
-from .digitstream import DigitStream, UNKNOWN
+from .digitstream import DigitStream, UNKNOWN, horner
 from .psi import psi_map
 
 
@@ -543,28 +543,26 @@ def orbit_closeness(x: DigitStream, y: DigitStream, n_max: int,
     ok = True
     x.digits(n_max + depth + 1)
     y.digits(n_max + depth + 1)
+
+    def upper(n: int, m: int) -> tuple[int, int]:
+        # (num, den) of the upper bracket from m exact terms: the tail of
+        # all-ones gaps past them is < 2/den
+        num, den = horner(q.q, (y.digit(j) - x.digit(j)
+                                for j in range(n + 1, n + m + 1)), n)
+        return num + 2, den
+
     for n in range(1, n_max + 1):
-        lo = Fraction(0)
-        prod = 1
-        for j in range(n + 1, n + depth + 1):
-            prod *= q.q(j)
-            c = y.digit(j) - x.digit(j)
-            if c not in (0, 1):
-                raise SpecError("orbit closeness expects digit gaps in {0,1}")
-            lo += Fraction(c, prod)
-        hi = lo + Fraction(2, prod)   # tail of all-ones gaps is < 2/(prod)
+        if any(y.digit(j) - x.digit(j) not in (0, 1)
+               for j in range(n + 1, n + depth + 1)):
+            raise SpecError("orbit closeness expects digit gaps in {0,1}")
         qn = q.q(n)
-        worst = max(worst, qn * hi)
-        if hi * qn > 1 and lo * qn <= 1:
+        num, den = upper(n, depth)
+        worst = max(worst, Fraction(qn * num, den))
+        if qn * num > den and qn * (num - 2) <= den:
             # bracket straddles: refine by doubling depth once
-            lo2 = Fraction(0)
-            prod2 = 1
-            for j in range(n + 1, n + 2 * depth + 1):
-                prod2 *= q.q(j)
-                lo2 += Fraction(y.digit(j) - x.digit(j), prod2)
-            hi = lo2 + Fraction(2, prod2)
-            worst = max(worst, qn * hi)
-        if hi * qn > 1:
+            num, den = upper(n, 2 * depth)
+            worst = max(worst, Fraction(qn * num, den))
+        if qn * num > den:
             ok = False
     return ok, worst
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .seqcore import (BasicSeq, Constant, Formula, Geometric, HypothesisError,
-                      Periodic, SpecError, default_checkpoints)
+from .seqcore import (BasicSeq, Geometric, HypothesisError, SpecError,
+                      default_checkpoints)
 from .digitstream import DigitStream
 
 EXACT_BITS = 4096
@@ -259,7 +259,6 @@ class MultifractalReport:
     dim_level: list[float]        # -> alpha
     dim_range: list[float]        # -> 1 - alpha/gamma
     gamma_diag: list[float]       # log prod q / log prod p
-    forced: Callable[[int], bool]
     exact_zero: bool              # numerator identically zero (alpha = 0 case)
 
 
@@ -321,7 +320,7 @@ def multifractal_witness(p_seq: BasicSeq, q_seq: BasicSeq, alpha, gamma,
                               dim_level=[0.0] * len(checkpoints) if exact_zero
                               else level.values,
                               dim_range=rng.values, gamma_diag=gd.values,
-                              forced=forced, exact_zero=exact_zero)
+                              exact_zero=exact_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +369,15 @@ class RationalityReport:
 def _certify_ratio_sum(p_seq: BasicSeq, q_seq: BasicSeq,
                        horizon: int) -> Optional[bool]:
     """True/False when the convergence of sum q_j/p_j is provable by kind."""
-    from .psi import _bounded_max, _eventual_period
     if isinstance(p_seq, Geometric) and p_seq.r >= 2:
-        qmax = _bounded_max(q_seq)
-        if qmax is not None:
+        if q_seq.upper_bound() is not None:
             return True
         if isinstance(q_seq, Geometric):
             if q_seq.r < p_seq.r:
                 return True
             return None
-    pe, qe = _eventual_period(p_seq), _eventual_period(q_seq)
-    if pe is not None and qe is not None:
+    if (p_seq.eventual_period() is not None
+            and q_seq.eventual_period() is not None):
         return False    # terms are eventually periodic and positive
     return None
 
@@ -414,8 +411,7 @@ def rationality_report(p_seq: BasicSeq, q_seq: BasicSeq, horizon: int = 2000,
         pattern = "equal"
     else:
         pattern = "mixed"
-    from .psi import _eventual_period
-    qe = _eventual_period(q_seq)
+    qe = q_seq.eventual_period()
     scan = (qe[0] + qe[1]) if qe is not None else div_horizon
     div: dict[int, Optional[int]] = {}
     for m in range(2, m_bound + 1):

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .seqcore import (BasicSeq, Constant, Periodic, SpecError,
-                      default_checkpoints, prefix_products)
+from .seqcore import BasicSeq, SpecError, default_checkpoints, prefix_products
 from .digitstream import DigitStream, shift_T
 
 
@@ -52,14 +51,13 @@ def cumulative_block_counts(stream: DigitStream, block: Sequence[int],
 def block_weight(q_seq: BasicSeq, k: int, n: int, exact_limit: int = 20000):
     """Q_n^(k), exact Fraction when cheap, float otherwise.
 
-    Constant and periodic bases have closed forms at any horizon; other
-    bases get the integer-numerator recurrence up to `exact_limit` and a
-    float accumulation beyond.  Returns (value, exact_flag).
+    Bases periodic from the first index have a closed form at any horizon;
+    other bases get the integer-numerator recurrence up to `exact_limit`
+    and a float accumulation beyond.  Returns (value, exact_flag).
     """
-    if isinstance(q_seq, Constant):
-        return Fraction(n, q_seq.value ** k), True
-    if isinstance(q_seq, Periodic):
-        L = len(q_seq.values)
+    per = q_seq.eventual_period()
+    if per is not None and per[0] == 0:
+        L = per[1]
         full, rest = divmod(n, L)
         per_residue = [Fraction(1, math.prod(q_seq.q(j + i) for i in range(k)))
                        for j in range(1, L + 1)]

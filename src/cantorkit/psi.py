@@ -8,25 +8,23 @@ total-variation formula for the finite stages, and the Hölder/monotonicity
 diagnostics.
 
 The finite-stage sums (approximant values and samples, the left limit at
-1, the integral, the variation and its upper bound) run on integers: P-digits
-come from integer remainders, sums over Q are Horner steps
-(num = num*q + d), and one Fraction is built at the end.
+1, the integral, the variation and its upper bound) and the clamped tail
+sums behind the continuity classifier run on integers: P-digits come from
+integer remainders, sums over Q are Horner steps (num = num*q + d), and one
+Fraction is built at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .seqcore import (Affine, BasicSeq, Constant, Explicit, Formula,
-                      Geometric, HypothesisError, IID, Periodic, SpecError,
-                      UndecidedError, truncate_tail)
-from .digitstream import (DigitStream, Enclosure, RationalDigitStream,
-                          TERMINATING, UNKNOWN, enclose_prefix,
-                          expand_rational, from_digits, detect_max_tail,
-                          horner)
+from .seqcore import (BasicSeq, Formula, HypothesisError, SpecError,
+                      UndecidedError)
+from .digitstream import (DigitStream, Enclosure, TERMINATING, UNKNOWN,
+                          expand_rational, detect_max_tail, horner)
 
 
 class _ImageStream(DigitStream):
@@ -68,20 +66,6 @@ def compose_chain(stream: DigitStream, bases: Sequence[BasicSeq]) -> DigitStream
 # ---------------------------------------------------------------------------
 # exact evaluation helpers
 
-def _eventual_period(seq: BasicSeq) -> Optional[tuple[int, int]]:
-    """(start, period) with q_n = q_{n+period} for all n > start, if known."""
-    if isinstance(seq, Constant):
-        return (0, 1)
-    if isinstance(seq, Periodic):
-        return (0, len(seq.values))
-    if isinstance(seq, Explicit):
-        t = _eventual_period(seq.tail)
-        if t is None:
-            return None
-        return (len(seq.head) + t[0], t[1])
-    return None
-
-
 def psi_terminating_value(p_seq: BasicSeq, q_seq: BasicSeq,
                           digits: Sequence[int], e0: int = 0) -> Fraction:
     """Exact image value of a point given by finitely many P-digits."""
@@ -105,15 +89,14 @@ def psi_value(p_seq: BasicSeq, q_seq: BasicSeq, x, horizon: int = 512):
     stream = expand_rational(x, p_seq)
     e0 = stream.e0
     # terminating case: finite sum
-    stream.digits(1)
     for probe in (64, horizon):
         stream.digits(probe)
         if stream.canonicity == TERMINATING:
             t = stream.last_nonzero or 0
             v = psi_terminating_value(p_seq, q_seq, stream.digits(t), e0)
             return Enclosure(v, v)
-    pp = _eventual_period(p_seq)
-    qp = _eventual_period(q_seq)
+    pp = p_seq.eventual_period()
+    qp = q_seq.eventual_period()
     if pp is not None and qp is not None:
         start = max(pp[0], qp[0])
         L = math.lcm(pp[1], qp[1])
@@ -256,36 +239,11 @@ class ContinuityReport:
     decided: bool
 
 
-def _bounded_max(seq: BasicSeq) -> Optional[int]:
-    if isinstance(seq, Constant):
-        return seq.value
-    if isinstance(seq, Periodic):
-        return max(seq.values)
-    if isinstance(seq, IID):
-        return seq.hi
-    if isinstance(seq, Explicit):
-        m = _bounded_max(seq.tail)
-        if m is None:
-            return None
-        return max([m] + seq.head)
-    return None
-
-
-def _is_nondecreasing(seq: BasicSeq) -> bool:
-    if isinstance(seq, Constant):
-        return True
-    if isinstance(seq, Affine):
-        return seq.d >= 0
-    if isinstance(seq, Geometric):
-        return seq.r >= 1
-    return False
-
-
 def certify_ge_tail(p_seq: BasicSeq, q_seq: BasicSeq, start: int,
                     horizon: int) -> Optional[int]:
     """Smallest J in [start, horizon] with p_j >= q_j provable for all j > J,
     or None if no such certificate is found."""
-    pp, qp = _eventual_period(p_seq), _eventual_period(q_seq)
+    pp, qp = p_seq.eventual_period(), q_seq.eventual_period()
     if pp is not None and qp is not None:
         s = max(pp[0], qp[0], start)
         L = math.lcm(pp[1], qp[1])
@@ -296,8 +254,8 @@ def certify_ge_tail(p_seq: BasicSeq, q_seq: BasicSeq, start: int,
                 J -= 1
             return J
         return None
-    qmax = _bounded_max(q_seq)
-    if qmax is not None and _is_nondecreasing(p_seq):
+    qmax = q_seq.upper_bound()
+    if qmax is not None and p_seq.nondecreasing:
         for J in range(start, horizon + 1):
             if p_seq.q(J + 1) >= qmax:
                 return J
@@ -313,37 +271,26 @@ def _clamp_tail_sum(p_seq: BasicSeq, q_seq: BasicSeq, t: int,
     certificate exists (the remainder telescopes to a single product) or
     when both bases are eventually periodic (geometric closed form).
     """
+    def clamp_sum(lo: int, hi: int) -> tuple[int, int]:
+        # Horner (num, den) of min(p_j, q_j) - 1 over lo < j <= hi
+        return horner(q_seq.q, (min(p_seq.q(j), q_seq.q(j)) - 1
+                                for j in range(lo + 1, hi + 1)), lo)
+
     J = certify_ge_tail(p_seq, q_seq, t, horizon)
     if J is not None:
-        s = Fraction(0)
-        rel = 1
-        for j in range(t + 1, J + 1):
-            rel *= q_seq.q(j)
-            s += Fraction(min(p_seq.q(j) - 1, q_seq.q(j) - 1), rel)
-        s += Fraction(1, rel)   # telescoped all-(q_j - 1) remainder past J
+        num, rel = clamp_sum(t, J)
+        s = Fraction(num + 1, rel)   # telescoped all-(q_j - 1) remainder past J
         return s, (s, s)
-    pp, qp = _eventual_period(p_seq), _eventual_period(q_seq)
+    pp, qp = p_seq.eventual_period(), q_seq.eventual_period()
     if pp is not None and qp is not None:
         s0 = max(pp[0], qp[0], t)
-        L = math.lcm(pp[1], qp[1])
-        head = Fraction(0)
-        rel = 1
-        for j in range(t + 1, s0 + 1):
-            rel *= q_seq.q(j)
-            head += Fraction(min(p_seq.q(j) - 1, q_seq.q(j) - 1), rel)
-        block = Fraction(0)
-        brel = 1
-        for j in range(s0 + 1, s0 + L + 1):
-            brel *= q_seq.q(j)
-            block += Fraction(min(p_seq.q(j) - 1, q_seq.q(j) - 1), brel)
-        s = head + (block * Fraction(brel, brel - 1)) / rel
+        num, rel = clamp_sum(t, s0)
+        bnum, brel = clamp_sum(s0, s0 + math.lcm(pp[1], qp[1]))
+        # head + (block sum * brel/(brel - 1)) / rel, the block repeating
+        s = Fraction(num * (brel - 1) + bnum, rel * (brel - 1))
         return s, (s, s)
-    lo = Fraction(0)
-    rel = 1
-    for j in range(t + 1, horizon + 1):
-        rel *= q_seq.q(j)
-        lo += Fraction(min(p_seq.q(j) - 1, q_seq.q(j) - 1), rel)
-    return None, (lo, lo + Fraction(1, rel))
+    num, rel = clamp_sum(t, horizon)
+    return None, (Fraction(num, rel), Fraction(num + 1, rel))
 
 
 def classify_continuity(p_seq: BasicSeq, q_seq: BasicSeq, x,
@@ -364,8 +311,6 @@ def classify_continuity(p_seq: BasicSeq, q_seq: BasicSeq, x,
         raise HypothesisError(f"{x} has no terminating expansion within "
                               f"horizon {tail_horizon}")
     t = stream.last_nonzero or 0
-    if t == 0:   # x = 1: left side only; digits of 1- are all p_j - 1
-        t = 0
     digits = stream.digits(t)
     if t == 0:
         lhs = 1   # value psi(1) ... treat via x=1: increment of e0
@@ -518,7 +463,7 @@ def bv_check(p_seq: BasicSeq, q_seq: BasicSeq, horizon: int = 10000) -> BVReport
     from .seqcore import birkhoff_report
     rep = birkhoff_report(p_seq, q_seq, horizon)
     partial = rep.bv_partial[-1]
-    pmax, qmax = _bounded_max(p_seq), _bounded_max(q_seq)
+    pmax, qmax = p_seq.upper_bound(), q_seq.upper_bound()
     tail = None
     converged = None
     if pmax is not None and qmax is not None:

@@ -31,9 +31,19 @@ class BasicSeq:
     """A sequence of integers q_n >= 2, n >= 1."""
 
     kind = "abstract"
+    nondecreasing = False    # True when the kind guarantees q_n <= q_{n+1}
 
     def q(self, n: int) -> int:
         raise NotImplementedError
+
+    def eventual_period(self) -> Optional[tuple[int, int]]:
+        """(start, period) with q_n = q_{n+period} for all n > start, when
+        the kind guarantees one; None otherwise."""
+        return None
+
+    def upper_bound(self) -> Optional[int]:
+        """An int >= every q_n, when the kind guarantees one; None otherwise."""
+        return None
 
     def prefix(self, n: int) -> list[int]:
         return [self.q(i) for i in range(1, n + 1)]
@@ -53,6 +63,7 @@ def _check_entry(v: int, n: int) -> int:
 
 class Constant(BasicSeq):
     kind = "constant"
+    nondecreasing = True
 
     def __init__(self, value: int):
         self.value = _check_entry(int(value), 1)
@@ -60,6 +71,12 @@ class Constant(BasicSeq):
     def q(self, n: int) -> int:
         if n < 1:
             raise SpecError(f"index {n} < 1")
+        return self.value
+
+    def eventual_period(self) -> tuple[int, int]:
+        return (0, 1)
+
+    def upper_bound(self) -> int:
         return self.value
 
     def describe(self) -> dict:
@@ -70,6 +87,7 @@ class Affine(BasicSeq):
     """q_n = a + d*n."""
 
     kind = "affine"
+    nondecreasing = True     # the constructor rejects d < 0
 
     def __init__(self, a: int, d: int):
         self.a, self.d = int(a), int(d)
@@ -90,6 +108,7 @@ class Geometric(BasicSeq):
     """q_n = a * r**n."""
 
     kind = "geometric"
+    nondecreasing = True     # r >= 1, and q_1 = a*r >= 2 forces a > 0
 
     def __init__(self, a: int, r: int):
         self.a, self.r = int(a), int(r)
@@ -122,6 +141,12 @@ class Periodic(BasicSeq):
             raise SpecError(f"index {n} < 1")
         return self.values[(n - 1) % len(self.values)]
 
+    def eventual_period(self) -> tuple[int, int]:
+        return (0, len(self.values))
+
+    def upper_bound(self) -> int:
+        return max(self.values)
+
     def describe(self) -> dict:
         return {"kind": "periodic", "values": list(self.values)}
 
@@ -143,6 +168,18 @@ class Explicit(BasicSeq):
         if n <= len(self.head):
             return self.head[n - 1]
         return self.tail.q(n - len(self.head))
+
+    def eventual_period(self) -> Optional[tuple[int, int]]:
+        t = self.tail.eventual_period()
+        if t is None:
+            return None
+        return (len(self.head) + t[0], t[1])
+
+    def upper_bound(self) -> Optional[int]:
+        m = self.tail.upper_bound()
+        if m is None:
+            return None
+        return max([m] + self.head)
 
     def describe(self) -> dict:
         return {"kind": "explicit", "head": list(self.head),
@@ -241,6 +278,9 @@ class IID(BasicSeq):
         while len(self._memo) < n:
             self._memo.append(self._rng.randint(self.lo, self.hi))
         return self._memo[n - 1]
+
+    def upper_bound(self) -> int:
+        return self.hi
 
     def describe(self) -> dict:
         return {"kind": "iid", "lo": self.lo, "hi": self.hi, "seed": self.seed}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorkit.digitstream import expand_rational, stream_value
+from cantorkit.digitstream import expand_rational, from_digits, stream_value
 from cantorkit.foundry import (
     block_repeats,
     delta_cell,
@@ -35,7 +35,8 @@ from cantorkit.foundry import (
     vbw_unrank,
 )
 from cantorkit.normstats import golden_ratio_stream
-from cantorkit.seqcore import Affine, Constant, Formula, Geometric
+from cantorkit.seqcore import (Affine, Constant, Explicit, Formula, Geometric,
+                               SpecError)
 
 
 def test_nu_mass_sums_to_one_over_length_w_blocks():
@@ -200,3 +201,53 @@ def test_orbit_closeness_small():
     ok, worst = orbit_closeness(x, y, 200)
     assert ok
     assert worst <= 1
+
+
+def _orbit_route(q, xd, yd, n_max, depth):
+    """Term-by-term Fraction brackets of T_n(y) - T_n(x), refined once at
+    double depth where q_n times the bracket straddles 1."""
+    def bracket(n, m):
+        lo, prod = Fraction(0), 1
+        for j in range(n + 1, n + m + 1):
+            prod *= q.q(j)
+            lo += Fraction(yd[j - 1] - xd[j - 1], prod)
+        return lo, lo + Fraction(2, prod)
+
+    ok, worst = True, Fraction(0)
+    for n in range(1, n_max + 1):
+        qn = q.q(n)
+        lo, hi = bracket(n, depth)
+        worst = max(worst, qn * hi)
+        if hi * qn > 1 and lo * qn <= 1:
+            _, hi = bracket(n, 2 * depth)
+            worst = max(worst, qn * hi)
+        if hi * qn > 1:
+            ok = False
+    return ok, worst
+
+
+@given(head=st.lists(st.integers(2, 6), min_size=1, max_size=8),
+       data=st.data(), n_max=st.integers(0, 25), depth=st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_orbit_closeness_equals_fraction_route(head, data, n_max, depth):
+    q = Explicit(head, Constant(head[-1]))
+    m = n_max + 2 * depth + 1
+    xd = [data.draw(st.integers(0, q.q(j) - 2)) for j in range(1, m + 1)]
+    yd = [e + data.draw(st.integers(0, 1)) for e in xd]
+    got = orbit_closeness(from_digits(q, xd), from_digits(q, yd), n_max, depth)
+    assert got == _orbit_route(q, xd, yd, n_max, depth)
+
+
+def test_orbit_closeness_rejects_wide_gaps():
+    q = Constant(5)
+    with pytest.raises(SpecError, match="digit gaps"):
+        orbit_closeness(from_digits(q, [0, 0, 0]), from_digits(q, [0, 0, 2]), 3)
+
+
+def test_orbit_closeness_refines_a_straddling_bracket():
+    # over base 2 with gaps at positions 3 and 4, q_1 = 2 times the depth-2
+    # bracket [1/4, 3/4] straddles 1; the depth-4 bracket [3/8, 1/2] gives
+    # 2 * 1/2 = 1, so the bound holds
+    q = Constant(2)
+    x, y = from_digits(q, []), from_digits(q, [0, 0, 1, 1])
+    assert orbit_closeness(x, y, 1, depth=2) == (True, Fraction(3, 2))

@@ -52,6 +52,23 @@ def test_block_weight_periodic_closed_form_matches_recurrence():
     assert e1 and w1 == direct
 
 
+@pytest.mark.parametrize("q", [Explicit([], Periodic([3, 7, 4])),
+                               Explicit([], Explicit([], Constant(4)))])
+def test_block_weight_closed_form_for_any_base_periodic_from_the_start(q):
+    # past exact_limit such bases still get the exact closed form
+    w, exact = block_weight(q, 2, 300, exact_limit=100)
+    direct = sum(Fraction(1, q.q(j) * q.q(j + 1)) for j in range(1, 301))
+    assert exact and w == direct
+
+
+def test_block_weight_head_before_the_period_is_summed():
+    # periodic only after a head: no closed form, so past exact_limit the
+    # float accumulation answers
+    w, exact = block_weight(Explicit([5], Constant(3)), 1, 300, exact_limit=100)
+    assert not exact
+    assert w == pytest.approx(float(Fraction(1, 5) + Fraction(299, 3)))
+
+
 def test_normality_report_counts_and_ratios():
     rng = random.Random(3)
     digs = [rng.randrange(2) for _ in range(2000)]

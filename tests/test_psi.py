@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cantorkit as ck
 from cantorkit.digitstream import expand_rational, from_digits, stream_value
 from cantorkit.psi import (
+    _clamp_tail_sum,
     approximant_bound,
     approximant_eval,
     approximant_integral,
@@ -312,3 +313,81 @@ def test_variation_formula_matches_oracle_wide_digits(data, t):
     p, q = Explicit(ps, Constant(2)), Explicit(qs, Constant(2))
     rep = variation_formula(p, q, t)
     assert rep.value == variation_oracle(p, q, t)
+
+
+# _clamp_tail_sum, route by route, against term-by-term Fraction sums
+
+def _clamp_terms(p, q, t, m):
+    """sum_{t<j<=m} (min(p_j, q_j) - 1)/(q_{t+1}..q_j), term by term, and
+    the product q_{t+1}..q_m."""
+    s, rel = Fraction(0), 1
+    for j in range(t + 1, m + 1):
+        rel *= q.q(j)
+        s += Fraction(min(p.q(j), q.q(j)) - 1, rel)
+    return s, rel
+
+
+short_head = st.lists(st.integers(2, 7), max_size=6)
+
+
+@given(hp=short_head, hq=short_head, a=st.integers(2, 7), data=st.data(),
+       t=st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_clamp_tail_sum_certified_route(hp, hq, a, data, t):
+    # eventually p_j >= q_j: past M every clamped digit is q_j - 1, and
+    # those digits sum to 1/(q_{t+1}..q_M)
+    b = data.draw(st.integers(2, a))
+    p, q = Explicit(hp, Constant(a)), Explicit(hq, Constant(b))
+    exact, (lo, hi) = _clamp_tail_sum(p, q, t, t + 50)
+    s, rel = _clamp_terms(p, q, t, max(len(hp), len(hq), t) + 10)
+    assert exact == lo == hi == s + Fraction(1, rel)
+
+
+@given(a=st.integers(2, 5), d=st.integers(1, 3), hq=short_head,
+       vq=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+       t=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_clamp_tail_sum_certified_route_monotone_over_bounded(a, d, hq, vq, t):
+    p, q = Affine(a, d), Explicit(hq, Periodic(vq))
+    qmax = max(hq + vq)
+    first = next(j for j in range(1, 100) if p.q(j) >= qmax)
+    exact, (lo, hi) = _clamp_tail_sum(p, q, t, t + 60)
+    s, rel = _clamp_terms(p, q, t, max(first, t) + 10)
+    assert exact == lo == hi == s + Fraction(1, rel)
+
+
+@given(hp=short_head, hq=short_head,
+       vp=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+       vq=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+       t=st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_clamp_tail_sum_periodic_route(hp, hq, vp, vq, t):
+    p, q = Explicit(hp, Periodic(vp)), Explicit(hq, Periodic(vq))
+    L = math.lcm(len(vp), len(vq))
+    M = max(len(hp), len(hq), t) + 2 * L
+    assume(any(p.q(j) < q.q(j) for j in range(M + 1, M + L + 1)))
+    exact, (lo, hi) = _clamp_tail_sum(p, q, t, t + 50)
+    s, rel = _clamp_terms(p, q, t, M)
+    # past M the clamped digits repeat every L positions: the tail is the
+    # block B over one period, scaled by the geometric series in 1/brel
+    block, brel = _clamp_terms(p, q, M, M + L)
+    assert exact == lo == hi == s + block * Fraction(brel, brel - 1) / rel
+    assert s <= exact <= s + Fraction(1, rel)
+
+
+@given(kind=st.sampled_from(["iid-formula", "formula-iid", "iid-iid"]),
+       seed=st.integers(0, 99), t=st.integers(0, 8), extra=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_clamp_tail_sum_bracket_route(kind, seed, t, extra):
+    # neither base periodic, and no p >= q certificate: a bracket at the
+    # horizon, which must hold every deeper sum
+    formula = Formula(lambda n: 2 + (n * n + seed) % 6, label="wiggle")
+    p = IID(2, 7, seed) if kind.startswith("iid") else formula
+    q = IID(2, 7, seed + 1) if kind.endswith("iid") else formula
+    horizon = t + extra
+    exact, (lo, hi) = _clamp_tail_sum(p, q, t, horizon)
+    s, rel = _clamp_terms(p, q, t, horizon)
+    deeper, _ = _clamp_terms(p, q, t, horizon + 40)
+    assert exact is None
+    assert (lo, hi) == (s, s + Fraction(1, rel))
+    assert lo <= deeper <= hi

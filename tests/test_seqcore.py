@@ -123,3 +123,75 @@ def test_birkhoff_running_min_is_running_min():
     mins = rep.log_ratio_running_min
     assert all(a >= b for a, b in zip(mins, mins[1:]))
     assert all(m <= v + 1e-12 for m, v in zip(mins, rep.log_ratio))
+
+
+# Declared properties: what each kind promises, checked on a window of its
+# values.  A kind that promises nothing says None (or False).
+DECLARED = [
+    # (sequence, eventual_period(), upper_bound(), nondecreasing)
+    (Constant(3), (0, 1), 3, True),
+    (Affine(2, 1), None, None, True),
+    (Affine(3, 0), None, None, True),
+    (Geometric(2, 3), None, None, True),
+    (Geometric(3, 1), None, None, True),
+    (Periodic([3, 5, 2]), (0, 3), 5, False),
+    (Explicit([7, 2], Periodic([4, 3])), (2, 2), 7, False),
+    (Explicit([], Constant(2)), (0, 1), 2, False),
+    (Explicit([3], Explicit([9, 2], Constant(4))), (3, 1), 9, False),
+    (Explicit([5], Affine(2, 1)), None, None, False),
+    (Explicit([4, 11], IID(2, 5, 1)), None, 11, False),
+    (IID(2, 6, 7), None, 6, False),
+    (Formula(lambda n: 2 + n % 3), None, None, False),
+    (Concatenated([(Constant(9), 2, 1), (Periodic([3, 4]), None, 2)]),
+     None, None, False),
+    (from_spec({"kind": "rdn"}), None, None, False),
+    (from_spec({"kind": "qnex"}), None, None, False),
+]
+
+
+def _check_declared_on_window(seq):
+    qs = seq.prefix(500)
+    per = seq.eventual_period()
+    if per is not None:
+        start, period = per
+        assert start >= 0 and period >= 1
+        assert all(seq.q(n) == seq.q(n + period)
+                   for n in range(start + 1, start + 201))
+    bound = seq.upper_bound()
+    if bound is not None:
+        assert all(v <= bound for v in qs)
+    if seq.nondecreasing:
+        assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+
+@pytest.mark.parametrize("seq, period, bound, nondecreasing", DECLARED,
+                         ids=[repr(d[0]) for d in DECLARED])
+def test_declared_properties(seq, period, bound, nondecreasing):
+    assert seq.eventual_period() == period
+    assert seq.upper_bound() == bound
+    assert seq.nondecreasing is nondecreasing
+    _check_declared_on_window(seq)
+
+
+def _spec_strategy():
+    leaf = st.one_of(
+        st.builds(lambda v: {"kind": "constant", "value": v}, st.integers(2, 9)),
+        st.builds(lambda a, d: {"kind": "affine", "a": a, "d": d},
+                  st.integers(2, 6), st.integers(0, 3)),
+        st.builds(lambda a, r: {"kind": "geometric", "a": a, "r": r},
+                  st.integers(2, 4), st.integers(1, 2)),
+        st.builds(lambda vs: {"kind": "periodic", "values": vs},
+                  st.lists(st.integers(2, 9), min_size=1, max_size=5)),
+        st.builds(lambda lo, w, s: {"kind": "iid", "lo": lo, "hi": lo + w,
+                                    "seed": s},
+                  st.integers(2, 6), st.integers(0, 5), st.integers(0, 50)),
+    )
+    return st.recursive(leaf, lambda inner: st.builds(
+        lambda head, tail: {"kind": "explicit", "head": head, "tail": tail},
+        st.lists(st.integers(2, 12), max_size=5), inner), max_leaves=3)
+
+
+@given(spec=_spec_strategy())
+@settings(max_examples=60, deadline=None)
+def test_declared_properties_hold_for_every_spec(spec):
+    _check_declared_on_window(from_spec(spec))
