@@ -119,10 +119,9 @@ def _stream_from_args(base: BasicSeq, args) -> DigitStream:
         return DigitStream(base, lambda n: min(draws.q(n) - 2, base.q(n) - 1),
                            canonicity="unknown", label="iid-digits")
     if args.source == "qnex":
-        _, stream = foundry.qnex_pair()
-        if stream.base.describe() != base.describe():
+        if base.kind != "qnex":
             raise SpecError("qnex digits require the qnex base")
-        return stream
+        return foundry.qnex_pair(base.first_stage)[1]
     raise SpecError(f"unknown digit source {args.source!r}")
 
 
@@ -181,6 +180,7 @@ def cmd_construct(args):
         emit_csv(rows, ["n", "q_n", "E_n"], args.out)
         return EXIT_OK
     if args.what == "rdn":
+        foundry.check_stage(args.stage, 2)
         rows = [(t, w, q, y) for t, w, q, y in foundry.rdn_walk(args.stage, args.n)]
         emit_csv(rows, ["n", "w_n", "q_n", "y_n"], args.out)
         if args.meta:

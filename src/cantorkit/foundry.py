@@ -12,10 +12,10 @@ big integers and digits come from weighted-lexicographic unranking.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .seqcore import (BasicSeq, Formula, SEQ_REGISTRY, SpecError,
                       HypothesisError)
@@ -167,142 +167,66 @@ def vbw_digits_iter(b: int, w: int, limit: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# staged words (the MFF glue)
+# the staged layout shared by the witnesses below: stage i >= first_stage is
+# 2^(4 i^2) copies of V(i, i^2), laid end to end
 
-class Word:
-    """A finite digit word with big-integer length."""
-
-    length: int
-
-    def digit(self, idx: int) -> int:    # 1-based
-        raise NotImplementedError
+MAX_STAGE = 32   # entries unrank i^3-bit indices: ~9x slower at stage 48
 
 
-class ExplicitWord(Word):
-    def __init__(self, digits: Sequence[int]):
-        self._digits = [int(d) for d in digits]
-        self.length = len(self._digits)
-
-    def digit(self, idx: int) -> int:
-        return self._digits[idx - 1]
-
-
-class VbwWord(Word):
-    def __init__(self, b: int, w: int):
-        self.b, self.w = b, w
-        self.length = vbw_length(b, w)
-
-    def digit(self, idx: int) -> int:
-        return vbw_digit(self.b, self.w, idx)
-
-
-@dataclass
-class MFFStage:
-    i: int
-    base_entry: int          # b_i: the base value across this stage
-    word: Word               # X_i: digits repeated l_i times
-    repeats: int             # l_i
-
-
-class StagedConstruction:
-    """Base entries s_n = b_i and digits X_i^(l_i), stage i covering
-    (L_{i-1}, L_i] with L_i = L_{i-1} + l_i * |X_i|.
-
-    Stages are supplied lazily (a generator of MFFStage); an epsilon
-    schedule (default 1/i) feeds the prefix-negligibility diagnostic
-    L_{i-1} <= eps_i * L_i.
-    """
-
-    def __init__(self, stage_iter, eps=lambda i: Fraction(1, i)):
-        self._iter = iter(stage_iter)
-        self._stages: list[MFFStage] = []
-        self._bounds: list[int] = [0]
-        self.eps = eps
-
-    def _ensure(self, n: int):
-        while self._bounds[-1] < n:
-            st = next(self._iter)
-            if st.repeats < 0 or st.word.length <= 0:
-                raise SpecError("stage with empty word or negative repeats")
-            self._stages.append(st)
-            self._bounds.append(self._bounds[-1] + st.repeats * st.word.length)
-
-    def stage_at(self, n: int) -> tuple[MFFStage, int]:
-        """(stage, 1-based offset into the repeated word) for index n."""
-        if n < 1:
-            raise SpecError(f"index {n} < 1")
-        self._ensure(n)
-        import bisect
-        k = bisect.bisect_left(self._bounds, n)
-        st = self._stages[k - 1]
-        off = n - self._bounds[k - 1]
-        return st, (off - 1) % st.word.length + 1
-
-    def base_entry(self, n: int) -> int:
-        st, _ = self.stage_at(n)
-        return st.base_entry
-
-    def digit(self, n: int) -> int:
-        st, off = self.stage_at(n)
-        return st.word.digit(off)
-
-    def prefix_negligible(self, upto_stage: int) -> list[tuple[int, bool]]:
-        out = []
-        for k, st in enumerate(self._stages[:upto_stage]):
-            if k == 0:
-                continue
-            ok = self._bounds[k] * 1 <= self.eps(st.i) * self._bounds[k + 1]
-            out.append((st.i, bool(ok)))
-        return out
+def check_stage(first_stage, lowest: int) -> int:
+    """first_stage itself when it is an int in [lowest, MAX_STAGE]."""
+    if (not isinstance(first_stage, int) or isinstance(first_stage, bool)
+            or not lowest <= first_stage <= MAX_STAGE):
+        raise SpecError(f"first stage {first_stage!r} is not an int in "
+                        f"[{lowest}, {MAX_STAGE}]")
+    return first_stage
 
 
 class StagedSeq(BasicSeq):
-    kind = "staged"
+    """Base entries q_n = entry(i, t), where `locate(n) = (i, t)` puts n at
+    the 1-based position t of a copy of V(i, i^2) on stage i."""
 
-    def __init__(self, construction: StagedConstruction, label: str):
-        self.construction = construction
-        self.label = label
+    def __init__(self, kind: str, first_stage: int,
+                 entry: Callable[[int, int], int], lowest: int = 2):
+        self.kind = kind
+        self.first_stage = check_stage(first_stage, lowest)
+        self._entry = entry
+        self._ends = [0]     # L_{i-1} for i = first_stage, first_stage + 1, ...
+        self._words = []     # |V(i, i^2)| for the same i
+
+    def locate(self, n: int) -> tuple[int, int]:
+        """(stage i, 1-based position t in its copy of V(i, i^2)) of n."""
+        if n < 1:
+            raise SpecError(f"index {n} < 1")
+        ends, words = self._ends, self._words
+        while ends[-1] < n:
+            i = self.first_stage + len(words)
+            words.append(vbw_length(i, i * i))
+            ends.append(ends[-1] + 2 ** (4 * i * i) * words[-1])
+        k = bisect.bisect_left(ends, n) - 1
+        return self.first_stage + k, (n - ends[k] - 1) % words[k] + 1
 
     def q(self, n: int) -> int:
-        return self.construction.base_entry(n)
+        return self._entry(*self.locate(n))
 
     def describe(self) -> dict:
-        return {"kind": self.label}
+        return {"kind": self.kind, "first_stage": self.first_stage}
 
 
 # ---------------------------------------------------------------------------
 # the distribution-normal witness (base + digits)
 
-def _qnex_stages(first_stage: int = 6,
-                 b_of=lambda i: 2 ** i,
-                 w_of=lambda i: i * i,
-                 l_of=lambda i: 2 ** (4 * i * i)) -> Iterator[MFFStage]:
-    i = first_stage
-    while True:
-        yield MFFStage(i=i, base_entry=b_of(i), word=VbwWord(i, w_of(i)),
-                       repeats=l_of(i))
-        i += 1
-
-
-def qnex_pair(first_stage: int = 6, b_of=None, w_of=None, l_of=None
-              ) -> tuple[BasicSeq, DigitStream]:
+def qnex_pair(first_stage: int = 6) -> tuple[BasicSeq, DigitStream]:
     """The staged base (entries 2^i on stage i) together with the digit
     stream whose digits walk V(i, i^2) repeated 2^(4 i^2) times per stage.
-
-    Keyword overrides shrink the stages for tests; defaults start at
-    stage 6 (earlier stages have length zero).
     """
-    kwargs = {}
-    if b_of:
-        kwargs["b_of"] = b_of
-    if w_of:
-        kwargs["w_of"] = w_of
-    if l_of:
-        kwargs["l_of"] = l_of
-    cons = StagedConstruction(_qnex_stages(first_stage, **kwargs))
-    seq = StagedSeq(cons, "qnex")
-    stream = DigitStream(seq, cons.digit, canonicity=UNKNOWN, label="qnex")
-    return seq, stream
+    seq = StagedSeq("qnex", first_stage, lambda i, t: 2 ** i, lowest=1)
+
+    def digit(n: int) -> int:
+        i, t = seq.locate(n)
+        return vbw_digit(i, i * i, t)
+
+    return seq, DigitStream(seq, digit, canonicity=UNKNOWN, label="qnex")
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +236,7 @@ def rdn_class_size(i: int) -> int:
     return i * 2 ** (i ** 3) - i * i * 2 ** (i ** 3 - i)
 
 
-def rdn_entry(i: int, t: int, full_count: Optional[int] = None,
-              w: Optional[int] = None) -> tuple[int, int, int]:
+def rdn_entry(i: int, t: int) -> tuple[int, int, int]:
     """(w, q, y) at position t of stage i.
 
     w is the V(i, i^2) digit.  Positions with w < i keep the small base
@@ -322,12 +245,10 @@ def rdn_entry(i: int, t: int, full_count: Optional[int] = None,
     large base i^3 (digit ratio ~ 0 there), class j >= 2 gets
     floor(i^2/(j-1)) (digit ratio in the (j-1)-th cell).
     """
-    if w is None:
-        w = vbw_digit(i, i * i, t)
+    w = vbw_digit(i, i * i, t)
     if w < i:
         return w, i, w
-    r = full_count if full_count is not None else vbw_count(i, i * i, i, t)
-    j = (r - 1) // rdn_class_size(i) + 1
+    j = (vbw_count(i, i * i, i, t) - 1) // rdn_class_size(i) + 1
     if j > i:
         raise AssertionError("class index overflow: counts do not divide")
     if j == 1:
@@ -335,72 +256,18 @@ def rdn_entry(i: int, t: int, full_count: Optional[int] = None,
     return w, (i * i) // (j - 1), j - 1
 
 
-def _rdn_stages(first_stage: int = 6, l_of=lambda i: 2 ** (4 * i * i),
-                w_of=lambda i: i * i):
-    """Stage words for the base Q (entries) and the digits y, kappa-side."""
-    i = first_stage
-    while True:
-        wlen = w_of(i)
+class RdnSeq(StagedSeq):
+    """The restricted-distribution-normality base: q_n = rdn_entry(i, t)[1]."""
 
-        class _QWord(Word):
-            def __init__(self, i=i, wlen=wlen):
-                self.i, self.length = i, vbw_length(i, wlen)
-                self.wlen = wlen
-
-            def digit(self, idx):
-                return rdn_entry(self.i, idx, w=vbw_digit(self.i, self.wlen, idx),
-                                 full_count=None if vbw_digit(self.i, self.wlen, idx) < self.i
-                                 else vbw_count(self.i, self.wlen, self.i, idx))[1]
-
-        class _YWord(Word):
-            def __init__(self, i=i, wlen=wlen):
-                self.i, self.length = i, vbw_length(i, wlen)
-                self.wlen = wlen
-
-            def digit(self, idx):
-                return rdn_entry(self.i, idx, w=vbw_digit(self.i, self.wlen, idx),
-                                 full_count=None if vbw_digit(self.i, self.wlen, idx) < self.i
-                                 else vbw_count(self.i, self.wlen, self.i, idx))[2]
-
-        yield (MFFStage(i=i, base_entry=0, word=_QWord(), repeats=l_of(i)),
-               MFFStage(i=i, base_entry=i, word=_YWord(), repeats=l_of(i)))
-        i += 1
+    def __init__(self, first_stage: int = 6):
+        super().__init__("rdn", first_stage, lambda i, t: rdn_entry(i, t)[1])
 
 
-class RdnSeq(BasicSeq):
-    """The restricted-distribution-normality base: stage words Q_i^(l_i)."""
-
-    kind = "rdn"
-
-    def __init__(self, first_stage: int = 6, l_of=None, w_of=None):
-        kw = {}
-        if l_of:
-            kw["l_of"] = l_of
-        if w_of:
-            kw["w_of"] = w_of
-        self._first = first_stage
-        self._cons = StagedConstruction(
-            s for s, _ in _rdn_stages(first_stage, **kw))
-
-    def q(self, n: int) -> int:
-        st, off = self._cons.stage_at(n)
-        return st.word.digit(off)
-
-    def describe(self) -> dict:
-        return {"kind": "rdn", "first_stage": self._first}
-
-
-def rdn_kappa(first_stage: int = 6, l_of=None, w_of=None
-              ) -> tuple[BasicSeq, DigitStream]:
+def rdn_kappa(first_stage: int = 6) -> tuple[BasicSeq, DigitStream]:
     """The companion point kappa over the small staged base (entries i)."""
-    kw = {}
-    if l_of:
-        kw["l_of"] = l_of
-    if w_of:
-        kw["w_of"] = w_of
-    cons = StagedConstruction(y for _, y in _rdn_stages(first_stage, **kw))
-    seq = StagedSeq(cons, "rdn-kappa-base")
-    stream = DigitStream(seq, cons.digit, canonicity=UNKNOWN, label="rdn-kappa")
+    seq = StagedSeq("rdn-kappa-base", first_stage, lambda i, t: i)
+    stream = DigitStream(seq, lambda n: rdn_entry(*seq.locate(n))[2],
+                         canonicity=UNKNOWN, label="rdn-kappa")
     return seq, stream
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorkit import cli, psi
+from cantorkit import cli, foundry, psi
 
 C2 = '{"kind":"constant","value":2}'
 C3 = '{"kind":"constant","value":3}'
@@ -85,6 +85,16 @@ def test_discrepancy_json(capsys):
     assert len(doc["discrepancy"]) == len(doc["checkpoints"])
 
 
+def test_qnex_source_digits_follow_the_base_stage(capsys):
+    # the first 1 of a stage-6 copy of V(6, 36) is digit 72; at stage 7 it is 98
+    rc, out = run(capsys, ["digits", "--base", '{"kind":"qnex","first_stage":7}',
+                           "--source", "qnex", "--n", "100"])
+    assert rc == 0
+    _, stream = foundry.qnex_pair(7)
+    assert out.splitlines()[1:] == [f"{n},128,{stream.digit(n)}"
+                                    for n in range(1, 101)]
+
+
 def test_construct_rdn_csv_and_meta(tmp_path, capsys):
     meta = tmp_path / "meta.json"
     rc, out = run(capsys, ["construct", "rdn", "--n", "5",
@@ -146,8 +156,23 @@ def test_bad_entry_exit_code(capsys):
     ["digits", "--base", '{"kind":"periodic","values":3}', "--x", "1/2"],
     ["dimension", "range", "--q", C3],
     ["construct", "nnotdn"],
+    ["digits", "--base", '{"kind":"qnex","b_of":3}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","w_of":3}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"rdn","l_of":3}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","first_stage":"6"}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","first_stage":-1}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","first_stage":0}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","first_stage":33}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"qnex","first_stage":1000000}', "--x", "1/2"],
+    ["digits", "--base", '{"kind":"rdn","first_stage":1}', "--x", "1/2"],
+    ["construct", "rdn", "--stage", "-1", "--n", "3"],
+    ["construct", "mff", "--stage", "0", "--n", "3"],
 ], ids=["constant-value-not-int", "periodic-values-not-list",
-        "dimension-range-without-p", "construct-nnotdn-without-base"])
+        "dimension-range-without-p", "construct-nnotdn-without-base",
+        "qnex-b_of", "qnex-w_of", "rdn-l_of", "qnex-first-stage-str",
+        "qnex-first-stage-negative", "qnex-first-stage-0",
+        "qnex-first-stage-33", "qnex-first-stage-1e6", "rdn-first-stage-1",
+        "construct-rdn-stage-negative", "construct-mff-stage-0"])
 def test_malformed_input_exits_2_without_traceback(args):
     # a fresh interpreter, so an uncaught exception shows as a traceback
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -17,6 +17,7 @@ from cantorkit.foundry import (
     nu_mass,
     orbit_closeness,
     qnex_pair,
+    RdnSeq,
     rdn_class_size,
     rdn_count_identities,
     rdn_entry,
@@ -144,6 +145,41 @@ def test_rdn_kappa_digits_valid():
     q, k = rdn_kappa()
     for n in range(1, 2000):
         assert 0 <= k.digit(n) < q.q(n)
+
+
+def _stage_end(s):
+    # L_s: 2^(4 s^2) copies of V(s, s^2), each s^2 * 2^(s^3) digits long
+    return 2 ** (4 * s * s) * s * s * 2 ** (s ** 3)
+
+
+def test_qnex_crosses_its_first_stage_end():
+    # V(1, 1) is [0, 1]: both digits weigh 2^1 - 1 = 1 (vbw_digits_iter
+    # takes b >= 2); stage 2 repeats V(2, 4), of 4 * 2^8 = 1024 digits
+    q, x = qnex_pair(first_stage=1)
+    assert _stage_end(1) == 32
+    n = 32 + 1024 + 100
+    v24 = list(vbw_digits_iter(2, 4, 1024))
+    assert x.digits(n) == [0, 1] * 16 + v24 + v24[:100]
+    assert q.prefix(n) == [2] * 32 + [4] * (n - 32)
+
+
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_rdn_stages_match_the_walk(s):
+    rdn, (kbase, kappa) = RdnSeq(s), rdn_kappa(s)
+    walk = list(rdn_walk(s, 300))
+    word = s * s * 2 ** (s ** 3)     # |V(s, s^2)|; the next copy restarts it
+    for start in (0, word):
+        assert [rdn.q(start + t) for t in range(1, 301)] == [q for *_, q, _ in walk]
+    assert kbase.prefix(300) == [s] * 300
+    assert kappa.digits(300) == [y for *_, y in walk]
+    end = _stage_end(s)
+    assert rdn.locate(end) == (s, word) and rdn.locate(end + 1) == (s + 1, 1)
+    nxt = list(rdn_walk(s + 1, 100))
+    at = range(end + 1, end + 101)
+    assert [rdn.q(n) for n in at] == [q for *_, q, _ in nxt]
+    assert [kbase.q(n) for n in range(end - 1, end + 3)] == [s, s, s + 1, s + 1]
+    # the stream's memo cannot reach L_s, so its rule is read directly
+    assert [kappa._rule(n) for n in at] == [y for *_, y in nxt]
 
 
 def test_rdn_measure_log10_value():

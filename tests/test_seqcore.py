@@ -171,6 +171,13 @@ def test_declared_properties(seq, period, bound, nondecreasing):
     assert seq.upper_bound() == bound
     assert seq.nondecreasing is nondecreasing
     _check_declared_on_window(seq)
+    spec = seq.describe()
+    if seq.kind in ("formula", "concatenated"):     # no JSON spec kind
+        with pytest.raises(SpecError):
+            from_spec(spec)
+    else:
+        again = from_spec(spec)
+        assert again.describe() == spec and again.prefix(500) == seq.prefix(500)
 
 
 def _spec_strategy():
