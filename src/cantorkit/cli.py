@@ -23,7 +23,7 @@ from typing import Optional
 from . import foundry, fracdim, normstats, psi, seqcore
 from .digitstream import DigitStream, expand_rational
 from .seqcore import (BasicSeq, HypothesisError, IID, SpecError,
-                      UndecidedError, from_spec, truncate_tail)
+                      UndecidedError, from_spec)
 
 EXIT_OK, EXIT_SPEC, EXIT_HYPOTHESIS, EXIT_UNDECIDED = 0, 2, 3, 4
 
@@ -174,25 +174,21 @@ def cmd_discrepancy(args):
 
 
 def cmd_construct(args):
-    if args.what == "qnex":
-        seq, stream = foundry.qnex_pair()
+    if args.what in ("qnex", "mff"):
+        seq, stream = foundry.qnex_pair(first_stage=args.stage)
         rows = [(n, seq.q(n), stream.digit(n)) for n in range(1, args.n + 1)]
         emit_csv(rows, ["n", "q_n", "E_n"], args.out)
         return EXIT_OK
     if args.what == "rdn":
-        foundry.check_stage(args.stage, 2)
-        rows = [(t, w, q, y) for t, w, q, y in foundry.rdn_walk(args.stage, args.n)]
+        seq = foundry.RdnSeq(args.stage)
+        rows = [(n,) + foundry.rdn_entry(*seq.locate(n))
+                for n in range(1, args.n + 1)]
         emit_csv(rows, ["n", "w_n", "q_n", "y_n"], args.out)
         if args.meta:
             emit_json({"stage": args.stage,
                        "measure_log10": float(foundry.rdn_measure_log10()),
                        "identities": foundry.rdn_count_identities(
                            min(args.stage, 6))}, args.meta)
-        return EXIT_OK
-    if args.what == "mff":
-        seq, stream = foundry.qnex_pair(first_stage=args.stage)
-        rows = [(n, seq.q(n), stream.digit(n)) for n in range(1, args.n + 1)]
-        emit_csv(rows, ["n", "q_n", "E_n"], args.out)
         return EXIT_OK
     if args.base is None:
         raise SpecError(f"construct {args.what} needs --base")
@@ -236,7 +232,7 @@ def cmd_dimension(args):
                                            Fraction(args.gamma),
                                            horizon=args.horizon)
     elif args.what == "zpq":
-        rep = fracdim.zpq_dim_bounds(p, q, k=args.k, horizon=args.horizon)
+        rep = fracdim.zpq_dim_bounds(p, q, horizon=args.horizon)
     else:
         raise SpecError(f"unknown dimension report {args.what!r}")
     emit_json(rep, args.out)
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0")
     p.add_argument("--gamma", default="1")
     p.add_argument("--k", type=int, default=1,
-                   help="digit-class index (zpq) or series length (levelsum)")
+                   help="series length (levelsum)")
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--out")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .seqcore import (BasicSeq, Formula, SEQ_REGISTRY, SpecError,
                       HypothesisError)
@@ -51,29 +51,26 @@ def vbw_length(b: int, w: int) -> int:
     return w * 2 ** (b * w)
 
 
-def _wgt(b: int, d: int) -> int:
-    return 1 if d < b else 2 ** b - b
-
-
 def vbw_unrank(b: int, w: int, rep: int) -> list[int]:
     """Digits of the block owning 0-based repetition index `rep`.
 
     Repetitions are ordered: all repeats of the lexicographically first
     block, then the next block, and so on; `rep` ranges over [0, 2^(bw)).
+    Below a prefix of weight wp with rem free positions left, each digit
+    d < b (weight 1) roots a subtree of sub = wp * 2^(b rem) repetitions,
+    so the digit is min(rep // sub, b).
     """
     if not 0 <= rep < 2 ** (b * w):
         raise SpecError(f"repetition index {rep} out of range")
     digits = []
     wp = 1   # product of weights of chosen digits
-    for s in range(1, w + 1):
-        rem = w - s
-        for d in range(b + 1):
-            c = wp * _wgt(b, d) * 2 ** (b * rem)
-            if rep < c:
-                digits.append(d)
-                wp *= _wgt(b, d)
-                break
-            rep -= c
+    for rem in range(w - 1, -1, -1):
+        sub = wp << (b * rem)
+        d = min(rep // sub, b)
+        rep -= d * sub
+        digits.append(d)
+        if d == b:
+            wp *= 2 ** b - b
     return digits
 
 
@@ -83,13 +80,12 @@ def vbw_rank(b: int, w: int, digits: Sequence[int]) -> int:
         raise SpecError("block length mismatch")
     rank = 0
     wp = 1
-    for s, d in enumerate(digits, start=1):
+    for rem, d in zip(range(w - 1, -1, -1), digits):
         if not 0 <= d <= b:
             raise SpecError(f"digit {d} outside [0, {b}]")
-        rem = w - s
-        for lower in range(d):
-            rank += wp * _wgt(b, lower) * 2 ** (b * rem)
-        wp *= _wgt(b, d)
+        rank += d * wp << (b * rem)
+        if d == b:
+            wp *= 2 ** b - b
     return rank
 
 
@@ -107,44 +103,38 @@ def vbw_digit(b: int, w: int, idx: int) -> int:
 
 
 def vbw_count(b: int, w: int, value: int, idx: int) -> int:
-    """Occurrences of `value` among positions 1..idx of V(b, w).
-
-    Walks the same greedy descent as unranking, charging each skipped
-    subtree its exact occurrence total: a subtree of R repetitions with a
-    fixed prefix contributes R * (occurrences in the prefix) plus the
-    weighted completions, m * wgt(value) * 2^(b(m-1)) per unit prefix
-    weight over m free positions.
-    """
+    """Occurrences of `value` among positions 1..idx of V(b, w)."""
     if not 0 <= idx <= vbw_length(b, w):
         raise SpecError(f"index {idx} outside V({b},{w})")
-    if idx == 0:
+    if idx == 0 or not 0 <= value <= b:
         return 0
-    rep, off = divmod(idx - 1, w)
-    total = 0
+    return _count_to(b, value, vbw_locate(b, w, idx)[0], idx)
+
+
+def _count_to(b: int, value: int, block: list[int], idx: int) -> int:
+    """vbw_count(b, len(block), value, idx) for 0 <= value <= b, given the
+    block that owns position idx.
+
+    The digit d at each position skips d subtrees of sub repetitions each.
+    Together they hold the `seen` occurrences of the prefix sub times each,
+    their own digit once per repetition (sub when value < d), and the
+    completions: rem * wgt(value) * 2^(b(rem-1)) per unit of prefix weight.
+    """
+    rep, off = divmod(idx - 1, len(block))
+    wv = 1 if value < b else 2 ** b - b
+    total = seen = 0
     wp = 1
-    prefix_cnt = 0
-    r = rep
-    digits = []
-    for s in range(1, w + 1):
-        rem = w - s
-        for d in range(b + 1):
-            sub = wp * _wgt(b, d) * 2 ** (b * rem)
-            if r < sub:
-                digits.append(d)
-                wp *= _wgt(b, d)
-                prefix_cnt += d == value
-                break
-            # whole subtree (prefix + digit d + free completions) precedes
-            reps_here = sub
-            cnt_here = reps_here * (prefix_cnt + (d == value))
-            if rem:
-                cnt_here += wp * _wgt(b, d) * rem * _wgt(b, value) * 2 ** (b * (rem - 1))
-            total += cnt_here
-            r -= sub
-    # r is now the repetition index within the current block
-    total += r * sum(1 for d in digits if d == value)
-    total += sum(1 for d in digits[:off + 1] if d == value)
-    return total
+    for rem, d in zip(range(len(block) - 1, -1, -1), block):
+        sub = wp << (b * rem)
+        rep -= d * sub
+        total += d * sub * seen + sub * (value < d)
+        if rem:
+            total += (d * wp * rem * wv) << (b * (rem - 1))
+        seen += d == value
+        if d == b:
+            wp *= 2 ** b - b
+    # rep is now the repetition index within the block's own run
+    return total + rep * seen + block[:off + 1].count(value)
 
 
 def vbw_blocks(b: int, w: int) -> Iterator[tuple[list[int], int]]:
@@ -245,10 +235,11 @@ def rdn_entry(i: int, t: int) -> tuple[int, int, int]:
     large base i^3 (digit ratio ~ 0 there), class j >= 2 gets
     floor(i^2/(j-1)) (digit ratio in the (j-1)-th cell).
     """
-    w = vbw_digit(i, i * i, t)
+    block, off = vbw_locate(i, i * i, t)
+    w = block[off]
     if w < i:
         return w, i, w
-    j = (vbw_count(i, i * i, i, t) - 1) // rdn_class_size(i) + 1
+    j = (_count_to(i, i, block, t) - 1) // rdn_class_size(i) + 1
     if j > i:
         raise AssertionError("class index overflow: counts do not divide")
     if j == 1:
@@ -349,22 +340,18 @@ def rdn_measure_log10():
 # ---------------------------------------------------------------------------
 # counterexample transforms between normality notions
 
-def nnotdn_base(q_seq: BasicSeq, log_base: Optional[float] = None) -> BasicSeq:
-    """p_n = max(floor(log q_n), 2); natural log unless overridden."""
-    if log_base is None:
-        f = lambda n: max(int(math.floor(math.log(q_seq.q(n)))), 2)
-    else:
-        lb = math.log(log_base)
-        f = lambda n: max(int(math.floor(math.log(q_seq.q(n)) / lb)), 2)
-    return Formula(f, label="floor-log")
+def nnotdn_base(q_seq: BasicSeq) -> BasicSeq:
+    """p_n = max(floor(ln q_n), 2)."""
+    return Formula(lambda n: max(int(math.floor(math.log(q_seq.q(n)))), 2),
+                   label="floor-log")
 
 
-def nnotdn_pair(q_seq: BasicSeq, stream: DigitStream,
-                log_base: Optional[float] = None) -> tuple[BasicSeq, DigitStream]:
+def nnotdn_pair(q_seq: BasicSeq, stream: DigitStream
+                ) -> tuple[BasicSeq, DigitStream]:
     """Round trip through the much smaller base: digits min(E_n, p_n - 1),
     read back over Q.  Destroys digit-ratio equidistribution while the
     block counts move by O(1) per block."""
-    p_seq = nnotdn_base(q_seq, log_base)
+    p_seq = nnotdn_base(q_seq)
     down = psi_map(stream, p_seq)
     return p_seq, psi_map(down, q_seq)
 

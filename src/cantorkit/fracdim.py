@@ -328,12 +328,11 @@ def multifractal_witness(p_seq: BasicSeq, q_seq: BasicSeq, alpha, gamma,
 
 @dataclass
 class ZpqDimBounds:
-    k: int
     lower: DimEstimate
     upper: DimEstimate
 
 
-def zpq_dim_bounds(p_seq: BasicSeq, q_seq: BasicSeq, k: int = 1,
+def zpq_dim_bounds(p_seq: BasicSeq, q_seq: BasicSeq,
                    horizon: int = 10000) -> ZpqDimBounds:
     """Dimension bracket for the run-restricted bi-Lipschitz domain.
 
@@ -344,7 +343,7 @@ def zpq_dim_bounds(p_seq: BasicSeq, q_seq: BasicSeq, k: int = 1,
     lo = dim_ratio(lambda j: max(min(p_seq.q(j) - 2, q_seq.q(j) - 1), 1),
                    p_seq.q, horizon)
     hi = dim_ratio(lambda j: min(p_seq.q(j), q_seq.q(j)), p_seq.q, horizon)
-    return ZpqDimBounds(k=k, lower=lo, upper=hi)
+    return ZpqDimBounds(lower=lo, upper=hi)
 
 
 # ---------------------------------------------------------------------------

@@ -355,27 +355,21 @@ def classify_continuity(p_seq: BasicSeq, q_seq: BasicSeq, x,
 class VariationReport:
     t: int
     value: Fraction
-    method: str                     # formula | oracle
+    method: str                     # always "formula"
     upper_bound: Optional[Fraction]
 
 
 def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationReport:
-    """Exact total variation of the stage-t approximant on [0, 1].
-
-    Needs t >= 2 and p_t != q_t; otherwise falls back to the breakpoint
-    oracle (the formula's derivation assumes a jump at every level-t cell
-    boundary).
-    """
+    """Exact total variation of the stage-t approximant on [0, 1], for
+    every t >= 0.  The upper bound is reported only for t >= 2 with
+    p_t != q_t."""
     ps, qs = p_seq.prefix(t), q_seq.prefix(t)
-    if t < 2 or ps[-1] == qs[-1]:
-        v = variation_oracle(p_seq, q_seq, t)
-        return VariationReport(t=t, value=v, method="oracle", upper_bound=None)
     w = [1] * t                        # w[k] = q_{k+2}..q_t
     for k in range(t - 2, -1, -1):
         w[k] = w[k + 1] * qs[k + 1]
-    D = w[0] * qs[0]
+    D = math.prod(qs)
     # S_k = sum_{j>k} min(p_j-1, q_j-1) * w_j  (units 1/D)
-    S = [0] * (t + 1)
+    S = [0] * (len(ps) + 1)         # len(ps) = max(t, 0)
     for k in range(t - 1, -1, -1):
         S[k] = S[k + 1] + min(ps[k] - 1, qs[k] - 1) * w[k]
     vnum = 0
@@ -390,6 +384,10 @@ def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationRepo
     vnum += S[0] + 1                  # left limit at 1
     pprod = math.prod(ps)
     vnum += pprod                     # slope * total length
+    rep = VariationReport(t=t, value=Fraction(vnum, D), method="formula",
+                          upper_bound=None)
+    if t < 2 or ps[-1] == qs[-1]:
+        return rep
     # upper bound: 2 sum_{j>=2} (p_1+..+p_{j-1})(p_j+q_j)/(q_1..q_j), as
     # one Horner pass over Q whose first coefficient is 0
     coeffs = []
@@ -398,37 +396,30 @@ def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationRepo
         coeffs.append(sum_p * (p + q))
         sum_p += p
     ub_num, _ = horner(q_seq.q, coeffs)
-    ub = Fraction(2 * ub_num + 2 * pprod + D, D)
-    return VariationReport(t=t, value=Fraction(vnum, D), method="formula",
-                           upper_bound=ub)
+    rep.upper_bound = Fraction(2 * ub_num + 2 * pprod + D, D)
+    return rep
+
+
+_ORACLE_CELLS = 1 << 20
 
 
 def variation_oracle(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
-    """Breakpoint walk: sum of in-cell rises plus jumps at cell boundaries."""
-    import numpy as np
+    """Breakpoint walk: sum of in-cell rises plus jumps at cell boundaries.
+
+    Enumerates all p_1..p_t cells; raises UndecidedError past _ORACLE_CELLS.
+    """
     ps, qs = p_seq.prefix(t), q_seq.prefix(t)
     pprod = math.prod(ps)
-    D = math.prod(qs)
-    w = [math.prod(qs[k + 1:]) for k in range(t)]
-    if pprod * D < 2 ** 62:
-        s = np.zeros(1, dtype=np.int64)
-        for k in range(t):
-            mins = np.array([min(e, qs[k] - 1) * w[k] for e in range(ps[k])],
-                            dtype=np.int64)
-            s = (s[:, None] + mins[None, :]).reshape(-1)
-        jumps = int(np.abs(np.diff(s) - 1).sum())
-        vnum = pprod + jumps + int(s[-1]) + 1
-    else:
-        import itertools
-        vnum = pprod
-        prev = None
-        for cell in itertools.product(*(range(p) for p in ps)):
-            cur = sum(min(e, qs[n] - 1) * w[n] for n, e in enumerate(cell))
-            if prev is not None:
-                vnum += abs(cur - prev - 1)
-            prev = cur
-        vnum += prev + 1
-    return Fraction(vnum, D)
+    if pprod > _ORACLE_CELLS:
+        raise UndecidedError(f"variation oracle needs {pprod} cells, "
+                             f"over its cap of {_ORACLE_CELLS}")
+    s = [0]     # clamped numerators of the cells, in order (units 1/D)
+    for k in range(t):
+        wk = math.prod(qs[k + 1:])
+        mins = [min(e, qs[k] - 1) * wk for e in range(ps[k])]
+        s = [a + m for a in s for m in mins]
+    jumps = sum(abs(b - a - 1) for a, b in zip(s, s[1:]))
+    return Fraction(pprod + jumps + s[-1] + 1, math.prod(qs))
 
 
 @dataclass

@@ -100,8 +100,7 @@ def test_c03_variation_formula_equals_oracle_exhaustively():
         ranges = [range(2, 6)] * t
         for ps in _tuples(ranges):
             for qs in _tuples(ranges):
-                if ps[-1] == qs[-1]:
-                    continue
+                # p_t = q_t included: the formula serves those stages too
                 p = Explicit(list(ps), Constant(2))
                 q = Explicit(list(qs), Constant(2))
                 rep = psimod.variation_formula(p, q, t)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,16 @@ P32 = '{"kind":"periodic","values":[3,2]}'
 def run(capsys, args):
     rc = cli.main(args)
     return rc, capsys.readouterr().out
+
+
+def _subprocess(code_or_args, timeout):
+    """Run the CLI (a list of args) or a Python snippet in a fresh
+    interpreter, where an uncaught exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    cmd = (["-c", code_or_args] if isinstance(code_or_args, str)
+           else ["-m", "cantorkit.cli", *code_or_args])
+    return subprocess.run([sys.executable, *cmd], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def test_digits_csv(capsys):
@@ -174,10 +185,7 @@ def test_bad_entry_exit_code(capsys):
         "qnex-first-stage-33", "qnex-first-stage-1e6", "rdn-first-stage-1",
         "construct-rdn-stage-negative", "construct-mff-stage-0"])
 def test_malformed_input_exits_2_without_traceback(args):
-    # a fresh interpreter, so an uncaught exception shows as a traceback
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "cantorkit.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _subprocess(args, 60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
 
@@ -186,11 +194,8 @@ def test_psi_plot_csv_at_deep_stage_exits_0(tmp_path):
     # stage 4400 over Q = 10 gives values with more than 4300 digits, the
     # interpreter's default limit for int-to-str conversion
     csv, pgm = tmp_path / "o.csv", tmp_path / "o.pgm"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "cantorkit.cli", "psi-plot",
-                           "--p", C3, "--q", C10, "--t", "4400", "--grid", "2",
-                           "--csv", str(csv), "--out", str(pgm)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _subprocess(["psi-plot", "--p", C3, "--q", C10, "--t", "4400",
+                        "--grid", "2", "--csv", str(csv), "--out", str(pgm)], 60)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     lines = csv.read_text().splitlines()
@@ -218,3 +223,105 @@ def test_emitters_leave_int_str_limit_unchanged(capsys):
         sys.set_int_max_str_digits(old)
     out = capsys.readouterr().out
     assert f'"1{"0" * 5000}/3"' in out and f"1/1{'0' * 5000}" in out
+
+
+def test_variation_over_equal_bases_at_deep_stage_exits_0():
+    # p_t = q_t at every stage: 3^30 cells, so only the formula can finish
+    proc = _subprocess(["variation", "--p", C3, "--q", C3, "--t", "30"], 10)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["value"], doc["method"], doc["upper_bound"]) == \
+        ("2/1", "formula", None)
+
+
+def test_variation_oracle_past_its_cap_exits_4_without_traceback():
+    proc = _subprocess(["variation", "--p", C3, "--q", C2, "--t", "30",
+                        "--oracle"], 10)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+
+
+def test_variation_oracle_runs_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from cantorkit.cli import main\n"
+            f"sys.exit(main(['variation', '--p', '{C3}', '--q', '{C2}', "
+            "'--t', '3', '--oracle']))")
+    proc = _subprocess(code, 30)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["oracle"] == doc["value"] == "27/4"
+    assert doc["oracle_agrees"] is True
+
+
+def test_construct_qnex_and_mff_honour_the_stage(capsys):
+    for what, stage in (("qnex", None), ("qnex", 3), ("mff", 3), ("mff", None)):
+        args = ["construct", what, "--n", "300"]
+        if stage is not None:
+            args += ["--stage", str(stage)]
+        rc, out = run(capsys, args)
+        assert rc == 0
+        seq, stream = foundry.qnex_pair(stage or 6)
+        assert out.splitlines() == ["n,q_n,E_n"] + [
+            f"{n},{seq.q(n)},{stream.digit(n)}" for n in range(1, 301)]
+
+
+def test_construct_rdn_continues_into_the_next_copy(capsys):
+    # V(2, 4) has 1,024 positions; row 1025 starts its second copy
+    rc, out = run(capsys, ["construct", "rdn", "--stage", "2", "--n", "2000"])
+    assert rc == 0
+    rows = out.splitlines()
+    assert rows[0] == "n,w_n,q_n,y_n" and len(rows) == 2001
+    for n, row in enumerate(rows[1:], start=1):
+        entry = foundry.rdn_entry(2, (n - 1) % 1024 + 1)
+        assert row == ",".join(map(str, (n,) + entry))
+
+
+def test_dimension_zpq_has_no_k(capsys):
+    outs = []
+    for k in ("1", "7"):
+        rc, out = run(capsys, ["dimension", "zpq", "--p", C5, "--q", C3,
+                               "--k", k, "--horizon", "100"])
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "k" not in json.loads(outs[0])
+
+
+def _holder_by_terms(p, q, a, horizon, k_max=8):
+    """(sup1, at1, sup2, at2, hypothesis) from logs summed term by term."""
+    P = [p.q(n) for n in range(1, horizon + 1)]
+    Q = [q.q(n) for n in range(1, horizon + 1)]
+    e1 = {n: a * math.fsum(math.log(v) for v in P[:n])
+          - math.fsum(math.log(v) for v in Q[:n])
+          + (1 - a) * math.log(min(P[n - 1], Q[n - 1]))
+          for n in range(1, horizon + 1)}
+    e2 = {(n, k): a * math.fsum(math.log(v) for v in P[:n + k])
+          - math.fsum(math.log(v) for v in Q[:n])
+          + a * (math.log(P[n + k]) - math.log(max(1, P[n + k] - Q[n + k])))
+          for n in range(1, horizon + 1) for k in range(k_max + 1)
+          if n + k + 1 <= horizon}
+    at1, at2 = max(e1, key=e1.get), max(e2, key=e2.get)
+    hyp = all(min(u, v) >= 3 for u, v in zip(P, Q))
+    return e1[at1], at1, e2[at2], at2, hyp
+
+
+@pytest.mark.parametrize("p, q, alpha, verdict", [
+    ('{"kind":"periodic","values":[5,2,7]}', '{"kind":"periodic","values":[3,4]}',
+     "1", "diverging"),
+    ('{"kind":"periodic","values":[3,4]}', '{"kind":"periodic","values":[7,5,6]}',
+     "1/2", "bounded_so_far"),
+])
+def test_holder_report_against_term_by_term_logs(capsys, p, q, alpha, verdict):
+    horizon = 60
+    rc, out = run(capsys, ["holder", "--p", p, "--q", q, "--alpha", alpha,
+                           "--horizon", str(horizon)])
+    assert rc == 0
+    doc = json.loads(out)
+    sup1, at1, sup2, at2, hyp = _holder_by_terms(
+        cli.parse_seq(p), cli.parse_seq(q), float(Fraction(alpha)), horizon)
+    assert doc["sup1_log"] == pytest.approx(sup1, rel=1e-12, abs=1e-12)
+    assert doc["sup2_log"] == pytest.approx(sup2, rel=1e-12, abs=1e-12)
+    assert (doc["sup1_at"], tuple(doc["sup2_at"])) == (at1, at2)
+    assert doc["hypothesis_ok"] is hyp
+    assert doc["verdict"] == verdict

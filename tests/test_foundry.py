@@ -90,6 +90,28 @@ def test_locate_and_digit_agree_with_materialization(b, w, data):
         assert vbw_count(b, w, v, idx) == digits[:idx].count(v)
 
 
+@given(b=st.integers(5, 8), data=st.data())
+@settings(max_examples=24, deadline=None)
+def test_closed_form_descent_at_stage_sizes(b, data):
+    # w = b^2 as on stage b: the indices have b^3 bits
+    w = b * b
+    for _ in range(4):
+        r = data.draw(st.integers(0, 2 ** (b * w) - 1))
+        block = vbw_unrank(b, w, r)
+        rank = vbw_rank(b, w, block)
+        assert rank <= r < rank + block_repeats(b, block)
+    idx = data.draw(st.integers(0, vbw_length(b, w)))
+    assert sum(vbw_count(b, w, v, idx) for v in range(b + 1)) == idx
+    small = data.draw(st.integers(1, 2000))
+    digits = list(vbw_digits_iter(b, w, small))
+    for v in range(b + 1):
+        assert vbw_count(b, w, v, small) == digits.count(v)
+
+
+def test_count_of_a_value_outside_the_alphabet_is_zero():
+    assert vbw_count(2, 2, 3, 16) == vbw_count(2, 2, -1, 16) == 0
+
+
 def test_rdn_count_identities_small():
     for i in (2, 3, 4):
         rep = rdn_count_identities(i)
@@ -107,8 +129,10 @@ def test_rdn_class_size_divides_large_count():
 
 
 def test_rdn_walk_matches_entry_lookup():
-    for (t, w, q, y) in rdn_walk(6, 500):
-        assert rdn_entry(6, t) == (w, q, y)
+    # stage 2 over its whole word, all four classes of the top digit
+    for i, count in ((6, 500), (2, vbw_length(2, 4))):
+        for (t, w, q, y) in rdn_walk(i, count):
+            assert rdn_entry(i, t) == (w, q, y)
 
 
 def test_rdn_walk_classes_in_order():

@@ -175,6 +175,34 @@ def test_variation_formula_matches_oracle(data, t):
         assert rep.value <= rep.upper_bound
 
 
+@given(data=st.data(), t=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_variation_formula_at_short_stages_and_equal_last_entries(data, t):
+    # the stages with t < 2 or p_t = q_t, where no upper bound is reported
+    ps = [data.draw(st.integers(2, 6)) for _ in range(t)]
+    qs = [data.draw(st.integers(2, 6)) for _ in range(t)]
+    if t:
+        qs[-1] = ps[-1]
+    p, q = Explicit(ps + [2], Constant(2)), Explicit(qs + [2], Constant(2))
+    rep = variation_formula(p, q, t)
+    assert rep.method == "formula"
+    assert rep.upper_bound is None
+    assert rep.value == variation_oracle(p, q, t)
+
+
+def test_variation_formula_over_equal_constants_at_deep_stage():
+    # the sawtooth x - floor(x): rise 1 and drop 1 at every stage
+    for t in (0, 1, 2, 30, 200):
+        assert variation_formula(Constant(3), Constant(3), t).value == 2
+
+
+def test_variation_oracle_stops_past_its_cell_cap():
+    with pytest.raises(ck.UndecidedError):
+        variation_oracle(Constant(2), Constant(3), 21)    # 2^21 cells
+    assert variation_oracle(Constant(2), Constant(3), 12) == \
+        variation_formula(Constant(2), Constant(3), 12).value
+
+
 def test_variation_of_sawtooth():
     # p == q: the approximant is x - floor(x) on [0,1) with a unit drop at 1
     assert variation_oracle(Constant(3), Constant(3), 2) == 2
@@ -293,7 +321,7 @@ def test_integral_equals_term_by_term_mean_clamp(p, q, t):
 @given(p=stage_base, q=stage_base, t=st.integers(2, 60))
 @settings(max_examples=60, deadline=None)
 def test_variation_upper_bound_equals_double_sum(p, q, t):
-    assume(p.q(t) != q.q(t))    # else the formula hands over to the oracle
+    assume(p.q(t) != q.q(t))    # else no bound is reported
     ps, qs = p.prefix(t), q.prefix(t)
     rep = variation_formula(p, q, t)
     double = sum(Fraction(ps[k] * (ps[j] + qs[j]), math.prod(qs[:j + 1]))
