@@ -146,6 +146,8 @@ def vbw_blocks(b: int, w: int) -> Iterator[tuple[list[int], int]]:
 
 def vbw_digits_iter(b: int, w: int, limit: int) -> Iterator[int]:
     """First `limit` digits of V(b, w), sequentially (test-sized limits)."""
+    if limit <= 0:
+        return
     produced = 0
     for block, reps in vbw_blocks(b, w):
         for _ in range(min(reps, (limit - produced) // w + 2)):
@@ -211,12 +213,41 @@ def qnex_pair(first_stage: int = 6) -> tuple[BasicSeq, DigitStream]:
     stream whose digits walk V(i, i^2) repeated 2^(4 i^2) times per stage.
     """
     seq = StagedSeq("qnex", first_stage, lambda i, t: 2 ** i, lowest=1)
+    return seq, _QnexStream(seq)
 
-    def digit(n: int) -> int:
-        i, t = seq.locate(n)
-        return vbw_digit(i, i * i, t)
 
-    return seq, DigitStream(seq, digit, canonicity=UNKNOWN, label="qnex")
+class _QnexStream(DigitStream):
+    """The digits of V(i, i^2) at every position of the qnex base, filled a
+    run at a time: the repetitions of one block follow each other, so a
+    block is unranked once for all the digits of its run."""
+
+    def __init__(self, seq: StagedSeq):
+        super().__init__(seq, None, canonicity=UNKNOWN, label="qnex")
+        self._run = (1, 0, [])     # (first, last index, block) of a run
+
+    def _fill(self, n: int) -> None:
+        self._memo += self._digits_from(len(self._memo) + 1, n)
+
+    def _digits_from(self, g: int, n: int) -> list[int]:
+        """Digits g..n, keeping the last run located for the next call."""
+        out = []
+        lo, hi, block = self._run
+        while g <= n:
+            if not lo <= g <= hi:
+                i, t = self.base.locate(g)
+                w = i * i
+                rep, off = divmod(t - 1, w)
+                block = vbw_unrank(i, w, rep)
+                # the block's run: [rank, rank + (2^i - i)^(its i-digits))
+                lo = g - off - (rep - vbw_rank(i, w, block)) * w
+                hi = lo + (2 ** i - i) ** block.count(i) * w - 1
+            stop = min(n, hi)
+            w = len(block)
+            off = (g - lo) % w
+            out += (block * ((off + stop - g) // w + 1))[off:off + stop - g + 1]
+            g = stop + 1
+        self._run = (lo, hi, block)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,22 @@ Q_n^(k) = sum_{j<=n} 1/(q_j .. q_{j+k-1}).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .seqcore import BasicSeq, SpecError, default_checkpoints, prefix_products
+from .seqcore import (BasicSeq, SpecError, block_weight_sums,
+                      default_checkpoints)
 from .digitstream import DigitStream, shift_T
 
 
 def count_blocks(stream: DigitStream, block: Sequence[int], n: int,
                  start: int = 1) -> int:
     """Occurrences of `block` starting at positions start <= j < start + n."""
-    block = [int(b) for b in block]
+    block = tuple(int(b) for b in block)
     k = len(block)
     if k < 1:
         raise SpecError("block must be nonempty")
@@ -30,7 +33,15 @@ def count_blocks(stream: DigitStream, block: Sequence[int], n: int,
     if start < 1:
         raise SpecError(f"digit index {start} < 1")
     digits = stream.digits(start + n + k - 2)
-    return sum(digits[j:j + k] == block for j in range(start - 1, start - 1 + n))
+    if k == 1:
+        return digits[start - 1:start - 1 + n].count(block[0])
+    return sum(map(block.__eq__, _windows(digits, k, start - 1, start - 1 + n)))
+
+
+def _windows(digits: list[int], k: int, lo: int, hi: int):
+    """The length-k blocks of digits starting at 0-based lo..hi-1, as
+    tuples zipped from k shifted slices."""
+    return zip(*(digits[lo + i:hi + i] for i in range(k)))
 
 
 def cumulative_block_counts(stream: DigitStream, block: Sequence[int],
@@ -51,22 +62,41 @@ def cumulative_block_counts(stream: DigitStream, block: Sequence[int],
 def block_weight(q_seq: BasicSeq, k: int, n: int, exact_limit: int = 20000):
     """Q_n^(k), exact Fraction when cheap, float otherwise.
 
-    Bases periodic from the first index have a closed form at any horizon;
-    other bases get the integer-numerator recurrence up to `exact_limit`
-    and a float accumulation beyond.  Returns (value, exact_flag).
+    Returns (value, exact_flag): _checkpoint_weights at the one checkpoint n.
+    """
+    (v,), exact = _checkpoint_weights(q_seq, k, [n], exact_limit)
+    return v, exact
+
+
+def _checkpoint_weights(q_seq: BasicSeq, k: int, checkpoints: Sequence[int],
+                       exact_limit: int = 20000) -> tuple[list, bool]:
+    """Q_c^(k) for each of the sorted checkpoints c, and whether all are
+    exact Fractions.
+
+    Bases periodic from the first index have a closed form at any horizon.
+    Other bases get one block_weight_sums pass over the checkpoints up to
+    `exact_limit` and a float accumulation per checkpoint beyond.
     """
     per = q_seq.eventual_period()
     if per is not None and per[0] == 0:
         L = per[1]
-        full, rest = divmod(n, L)
         per_residue = [Fraction(1, math.prod(q_seq.q(j + i) for i in range(k)))
                        for j in range(1, L + 1)]
-        v = full * sum(per_residue) + sum(per_residue[:rest])
-        return v, True
-    if n <= exact_limit:
-        return prefix_products(q_seq, n, [k]).block_weights[k], True
+        period_sum = sum(per_residue)
+        out = []
+        for c in checkpoints:
+            full, rest = divmod(c, L)
+            out.append(full * period_sum + sum(per_residue[:rest]))
+        return out, True
+    exact = [c for c in checkpoints if c <= exact_limit]
+    out = block_weight_sums(q_seq.prefix(exact[-1] + k - 1), k, exact) \
+        if exact else []
+    out += [_float_weight(q_seq, k, c) for c in checkpoints[len(exact):]]
+    return out, len(exact) == len(checkpoints)
+
+
+def _float_weight(q_seq: BasicSeq, k: int, n: int) -> float:
     total = 0.0
-    logs = 0.0
     window = [q_seq.q(j) for j in range(1, k + 1)]
     logw = math.fsum(math.log(v) for v in window)
     for j in range(1, n + 1):
@@ -74,7 +104,7 @@ def block_weight(q_seq: BasicSeq, k: int, n: int, exact_limit: int = 20000):
         nxt = q_seq.q(j + k)
         logw += math.log(nxt) - math.log(window[0])
         window = window[1:] + [nxt]
-    return total, False
+    return total
 
 
 @dataclass
@@ -97,29 +127,28 @@ def normality_report(stream: DigitStream, k: int, digit_alphabet: int, n: int,
     For a distribution-normal stream the ratios trend to 1; the report
     never asserts the limit, it shows the trajectory.
     """
-    import itertools
+    if k < 0:
+        raise SpecError(f"block length {k} < 0")
     if checkpoints is None:
         checkpoints = default_checkpoints(n)
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    blocks = [tuple(b) for b in itertools.product(range(digit_alphabet), repeat=k)]
+    blocks = list(itertools.product(range(digit_alphabet), repeat=k))
     digits = stream.digits(n + k - 1)
+    # counts are taken at the checkpoints in [1, n], none when one is below 1
+    reached = [] if checkpoints and checkpoints[0] < 1 else \
+        [c for c in checkpoints if c <= n]
     counts = {b: [] for b in blocks}
-    running = {b: 0 for b in blocks}
-    ci = 0
-    for j in range(1, n + 1):
-        w = tuple(digits[j - 1:j - 1 + k])
-        if w in running:
-            running[w] += 1
-        if ci < len(checkpoints) and j == checkpoints[ci]:
-            for b in blocks:
-                counts[b].append(running[b])
-            ci += 1
-    weights = []
-    exact_all = True
-    for c in checkpoints:
-        wv, ex = block_weight(stream.base, k, c)
-        weights.append(wv)
-        exact_all = exact_all and ex
+    running = Counter()
+    prev = 0
+    for c in reached:
+        if k:
+            running.update(_windows(digits, k, prev, c))
+        else:
+            running[()] = c     # every position starts the empty block
+        for b in blocks:
+            counts[b].append(running[b])
+        prev = c
+    weights, exact_all = _checkpoint_weights(stream.base, k, checkpoints)
     ratios = {b: [cnt / float(w) if w else math.inf
                   for cnt, w in zip(counts[b], weights)] for b in blocks}
     return NormalityReport(k=k, n=n, checkpoints=list(checkpoints), blocks=blocks,
@@ -136,16 +165,42 @@ def star_discrepancy(points: Sequence) -> Fraction:
     D*_N = max over the sorted points of
     max(x_(i) - (i-1)/N, i/N - x_(i)), computed in exact rationals.
     """
-    pts = sorted(Fraction(p) for p in points)
-    n = len(pts)
-    if n == 0:
-        raise SpecError("discrepancy of an empty point set")
+    pts = [Fraction(p) for p in points]
     if any(not 0 <= p < 1 for p in pts):
         raise SpecError("points must lie in [0, 1)")
-    best = Fraction(0)
-    for i, x in enumerate(pts, start=1):
-        best = max(best, x - Fraction(i - 1, n), Fraction(i, n) - x)
-    return best
+    return _fraction_discrepancies(pts, [len(pts)])[0]
+
+
+def _fraction_discrepancies(pts: list[Fraction],
+                            checkpoints: Sequence[int]) -> list[Fraction]:
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    return _star_discrepancies([p.numerator for p in pts],
+                               [p.denominator for p in pts], order, checkpoints)
+
+
+def _star_discrepancies(nums: list[int], dens: list[int], order: list[int],
+                        checkpoints: Sequence[int]) -> list[Fraction]:
+    """D*_N of the points nums[j]/dens[j] with j < c, for each checkpoint c
+    (N = min(c, number of points)), given `order`: every index, by
+    increasing value.
+
+    The candidates max(x_(i) - (i-1)/N, i/N - x_(i)) share the factor 1/N,
+    so each is an integer over dens[j] and is compared by
+    cross-multiplication; one Fraction is built per checkpoint.
+    """
+    out = []
+    for c in checkpoints:
+        m = min(c, len(order))
+        if m < 1:
+            raise SpecError("discrepancy of an empty point set")
+        best, best_den = 0, 1       # the maximum so far is best/(best_den m)
+        for i, j in enumerate([j for j in order if j < c], 1):
+            a, b = nums[j], dens[j]
+            v = max(a * m - (i - 1) * b, i * b - a * m)
+            if v * best_den > best * b:
+                best, best_den = v, b
+        out.append(Fraction(best, best_den * m))
+    return out
 
 
 def star_discrepancy_oracle(points: Sequence) -> Fraction:
@@ -187,8 +242,14 @@ def ud_report(stream: DigitStream, mode: str, n: int,
         checkpoints = default_checkpoints(n, count=8)
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if mode == "digit-ratio":
-        pts = [Fraction(stream.digit(m), stream.base.q(m)) for m in range(1, n + 1)]
-        ds = [star_discrepancy(pts[:c]) for c in checkpoints]
+        nums = stream.digits(n) if n > 0 else []
+        dens = stream.base.prefix(n)
+        # distinct ratios differ by at least 1/(q q') >= 2^-K, so the
+        # floors of ratio * 2^K keep their order exactly
+        K = 2 * max(dens, default=1).bit_length()
+        keys = [(d << K) // q for d, q in zip(nums, dens)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        ds = _star_discrepancies(nums, dens, order, checkpoints)
         return UDReport(mode=mode, n=n, checkpoints=list(checkpoints),
                         discrepancy=ds)
     if mode == "orbit":
@@ -198,7 +259,7 @@ def ud_report(stream: DigitStream, mode: str, n: int,
             enc = shift_T(stream, m, depth=orbit_depth)
             maxw = max(maxw, enc.width)
             pts.append(enc.mid if enc.mid < 1 else Fraction(0))
-        ds = [star_discrepancy(pts[:c]) for c in checkpoints]
+        ds = _fraction_discrepancies(pts, checkpoints)
         return UDReport(mode=mode, n=n, checkpoints=list(checkpoints),
                         discrepancy=ds, orbit_depth=orbit_depth,
                         max_enclosure_width=maxw)

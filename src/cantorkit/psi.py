@@ -36,10 +36,10 @@ class _ImageStream(DigitStream):
         self._source = stream
 
     def _fill(self, n: int) -> None:
-        memo, q = self._memo, self.base.q
-        start = len(memo)
-        memo += [min(d, q(j) - 1)
-                 for j, d in enumerate(self._source._span(start, n), start + 1)]
+        self._source.digit(n)        # fills the source's memo through n
+        src, q = self._source._memo, self.base.q
+        self._memo += [min(src[j - 1], q(j) - 1)
+                       for j in range(len(self._memo) + 1, n + 1)]
 
 
 def psi_map(stream: DigitStream, q_seq: BasicSeq,
@@ -359,10 +359,16 @@ class VariationReport:
     upper_bound: Optional[Fraction]
 
 
+def _check_stage(t: int) -> None:
+    if t < 0:
+        raise SpecError(f"stage {t} < 0")
+
+
 def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationReport:
     """Exact total variation of the stage-t approximant on [0, 1], for
     every t >= 0.  The upper bound is reported only for t >= 2 with
     p_t != q_t."""
+    _check_stage(t)
     ps, qs = p_seq.prefix(t), q_seq.prefix(t)
     w = [1] * t                        # w[k] = q_{k+2}..q_t
     for k in range(t - 2, -1, -1):
@@ -408,6 +414,7 @@ def variation_oracle(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
 
     Enumerates all p_1..p_t cells; raises UndecidedError past _ORACLE_CELLS.
     """
+    _check_stage(t)
     ps, qs = p_seq.prefix(t), q_seq.prefix(t)
     pprod = math.prod(ps)
     if pprod > _ORACLE_CELLS:

@@ -341,34 +341,58 @@ class PrefixProducts:
 
 
 def prefix_products(seq: BasicSeq, n: int, ks: Sequence[int] = ()) -> PrefixProducts:
-    """Exact prefix product and block-position weights.
-
-    The weight sums are accumulated as integers over the running product
-    denominator, so there is no lcm blowup.
-    """
+    """Exact prefix product and block-position weights (block_weight_sums
+    at the one checkpoint n)."""
     if n < 0:
         raise SpecError(f"horizon {n} < 0")
     ks = sorted(set(int(k) for k in ks))
-    if any(k < 1 for k in ks):
-        raise SpecError("block lengths must be >= 1")
     kmax = ks[-1] if ks else 0
     qs = seq.prefix(n + max(kmax - 1, 0))
-    prod = 1
-    for v in qs[:n]:
-        prod *= v
-    out = PrefixProducts(n=n, product=prod)
+    out = PrefixProducts(n=n, product=math.prod(qs[:n]))
     for k in ks:
-        # T_j = weight_j * (q_1..q_{j+k-1}); T_j = T_{j-1}*q_{j+k-1} + q_1..q_{j-1}
-        t_num = 0
-        den = 1
-        for v in qs[:k - 1]:
-            den *= v
-        pref = 1
-        for j in range(1, n + 1):
-            den *= qs[j + k - 2]
-            t_num = t_num * qs[j + k - 2] + pref
-            pref *= qs[j - 1]
-        out.block_weights[k] = Fraction(t_num, den)
+        out.block_weights[k] = block_weight_sums(qs, k, [n])[0]
+    return out
+
+
+def _split_sum(qs: list[int], k: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(num, left, right) for the terms j = lo+1..hi of
+    sum 1/(q_j..q_{j+k-1}): the sum is num/(q_{lo+1}..q_{hi+k-1}),
+    left = q_{lo+1}..q_hi and right = q_{lo+k}..q_{hi+k-1}.
+
+    Binary splitting: two halves join as num_1*right_2 + left_1*num_2, so
+    the big products are formed between operands of equal size.
+    """
+    if hi - lo == 1:
+        return 1, qs[lo], qs[lo + k - 1]
+    mid = (lo + hi) // 2
+    n1, l1, r1 = _split_sum(qs, k, lo, mid)
+    n2, l2, r2 = _split_sum(qs, k, mid, hi)
+    return n1 * r2 + l1 * n2, l1 * l2, r1 * r2
+
+
+def block_weight_sums(qs: Sequence[int], k: int,
+                      checkpoints: Sequence[int]) -> list[Fraction]:
+    """Q_c^(k) = sum_{j<=c} 1/(q_j..q_{j+k-1}) for each of the sorted
+    checkpoints c, from the prefix qs = [q_1, .., q_{c_max+k-1}].
+
+    Each segment between checkpoints is summed by binary splitting and
+    joined onto the running total the same way; the total stays an
+    integer over q_1..q_{c+k-1}, with one Fraction per checkpoint.
+    """
+    if k < 1:
+        raise SpecError("block lengths must be >= 1")
+    head = math.prod(qs[:k - 1])
+    num, left, right = 0, 1, 1
+    prev = 0
+    out = []
+    for c in checkpoints:
+        if c < 0:
+            raise SpecError(f"horizon {c} < 0")
+        if c > prev:
+            n2, l2, r2 = _split_sum(qs, k, prev, c)
+            num, left, right = num * r2 + left * n2, left * l2, right * r2
+            prev = c
+        out.append(Fraction(num, head * right))
     return out
 
 

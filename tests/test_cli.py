@@ -178,12 +178,15 @@ def test_bad_entry_exit_code(capsys):
     ["digits", "--base", '{"kind":"rdn","first_stage":1}', "--x", "1/2"],
     ["construct", "rdn", "--stage", "-1", "--n", "3"],
     ["construct", "mff", "--stage", "0", "--n", "3"],
+    ["variation", "--p", C3, "--q", C2, "--t", "-1"],
+    ["normality", "--base", C3, "--x", "1/2", "--k", "-1"],
 ], ids=["constant-value-not-int", "periodic-values-not-list",
         "dimension-range-without-p", "construct-nnotdn-without-base",
         "qnex-b_of", "qnex-w_of", "rdn-l_of", "qnex-first-stage-str",
         "qnex-first-stage-negative", "qnex-first-stage-0",
         "qnex-first-stage-33", "qnex-first-stage-1e6", "rdn-first-stage-1",
-        "construct-rdn-stage-negative", "construct-mff-stage-0"])
+        "construct-rdn-stage-negative", "construct-mff-stage-0",
+        "variation-t-negative", "normality-k-negative"])
 def test_malformed_input_exits_2_without_traceback(args):
     proc = _subprocess(args, 60)
     assert proc.returncode == 2

@@ -187,6 +187,56 @@ def test_qnex_crosses_its_first_stage_end():
     assert q.prefix(n) == [2] * 32 + [4] * (n - 32)
 
 
+def _qnex_reference(first_stage: int, n: int) -> list[int]:
+    """The first n qnex digits, stage by stage: V(1, 1) by vbw_digit (its
+    digits weigh 2^1 - 1 = 1, so vbw_digits_iter does not take it), later
+    words by vbw_digits_iter."""
+    out, i = [], first_stage
+    while len(out) < n:
+        word = ([vbw_digit(1, 1, t) for t in (1, 2)] if i == 1
+                else list(vbw_digits_iter(i, i * i, min(n, vbw_length(i, i * i)))))
+        for _ in range(2 ** (4 * i * i)):
+            if len(out) >= n:
+                break
+            out += word
+        i += 1
+    return out[:n]
+
+
+@pytest.mark.parametrize("first_stage", [1, 2])
+@given(reads=st.lists(st.tuples(st.booleans(), st.integers(1, 2600)),
+                      min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_qnex_stream_in_any_order_of_reads(first_stage, reads):
+    # partial fills (digits) and per-digit reads (digit) share the run the
+    # last fill located; stage 1 ends at 32, and stage 2's copies of
+    # V(2, 4) end every 1024 digits
+    _, x = qnex_pair(first_stage)
+    ref = _qnex_reference(first_stage, 2640)
+    for bulk, m in reads:
+        assert (x.digits(m) == ref[:m]) if bulk else x.digit(m) == ref[m - 1]
+    for m in range(len(x._memo) + 1, len(x._memo) + 40):
+        assert x.digit(m) == ref[m - 1]
+
+
+def test_qnex_stream_crosses_the_end_of_stage_2():
+    # L_2 = 2^16 * 1024 digits is past any memo, so the run reader is
+    # called directly, across the end and back
+    _, x = qnex_pair(2)
+    end = _stage_end(2)
+    v24 = list(vbw_digits_iter(2, 4, 1024))
+    v39 = list(vbw_digits_iter(3, 9, 300))
+    assert x._digits_from(end - 99, end + 300) == v24[-100:] + v39
+    assert x._digits_from(end - 1, end) == v24[-2:]
+    assert x._digits_from(1, 50) == v24[:50]
+
+
+def test_vbw_digits_iter_yields_nothing_below_limit_1():
+    assert list(vbw_digits_iter(2, 4, 0)) == []
+    assert list(vbw_digits_iter(2, 4, -2)) == []
+    assert list(vbw_digits_iter(2, 4, 1)) == [0]
+
+
 @pytest.mark.parametrize("s", [2, 3, 6])
 def test_rdn_stages_match_the_walk(s):
     rdn, (kbase, kappa) = RdnSeq(s), rdn_kappa(s)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorkit.digitstream import expand_rational, from_digits, from_rule
+from cantorkit.foundry import qnex_pair
 from cantorkit.normstats import (
     accumulation_estimate,
     block_weight,
@@ -19,7 +20,8 @@ from cantorkit.normstats import (
     star_discrepancy_oracle,
     ud_report,
 )
-from cantorkit.seqcore import Affine, Constant, Explicit, Periodic, SpecError
+from cantorkit.seqcore import (Affine, Constant, Explicit, Geometric, Periodic,
+                               SpecError, prefix_products)
 
 
 def test_count_blocks_by_hand():
@@ -173,3 +175,122 @@ def test_accumulation_estimate_matches_fraction_cells(src, n, grid):
     rep = accumulation_estimate(stream, n, grid)
     assert rep.hit_cells == sorted(cells)
     assert rep.coverage == len(cells) / grid
+
+
+@st.composite
+def mixed_points(draw):
+    """Points in [0, 1) over mixed denominators, with 0, ties between equal
+    values written differently, and repeated points."""
+    pts = [Fraction(0)]
+    for _ in range(draw(st.integers(0, 40))):
+        den = draw(st.sampled_from([2, 3, 4, 6, 7, 12, 97, 210]))
+        pts.append(Fraction(draw(st.integers(0, den - 1)), den))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    return draw(st.permutations(pts))
+
+
+@given(pts=mixed_points())
+@settings(max_examples=150, deadline=None)
+def test_star_discrepancy_of_mixed_points_matches_oracle(pts):
+    assert star_discrepancy(pts) == star_discrepancy_oracle(pts)
+
+
+def _checkpoints(draw, n):
+    """None (the default grid) or an unsorted list with repeats, some
+    checkpoints past n."""
+    if draw(st.booleans()):
+        return None
+    cps = draw(st.lists(st.integers(1, n + 5), min_size=1, max_size=8))
+    return cps + draw(st.lists(st.sampled_from(cps), max_size=3))
+
+
+def _ud_source(draw):
+    """(stream, base) over an Affine base (a rational x) or qnex."""
+    if draw(st.booleans()):
+        base = Affine(draw(st.integers(2, 5)), draw(st.integers(1, 3)))
+        den = draw(st.integers(2, 10 ** 6))
+        return expand_rational(Fraction(draw(st.integers(1, den - 1)), den),
+                               base), base
+    base, stream = qnex_pair(draw(st.sampled_from([1, 2, 6])))
+    return stream, base
+
+
+@given(data=st.data(), n=st.integers(1, 320))
+@settings(max_examples=60, deadline=None)
+def test_digit_ratio_report_matches_oracle_at_every_checkpoint(data, n):
+    stream, base = _ud_source(data.draw)
+    cps = _checkpoints(data.draw, n)
+    rep = ud_report(stream, "digit-ratio", n, cps)
+    pts = [Fraction(stream.digit(m), base.q(m)) for m in range(1, n + 1)]
+    assert rep.checkpoints == sorted(set(cps or rep.checkpoints))
+    assert rep.discrepancy == [star_discrepancy_oracle(pts[:c])
+                               for c in rep.checkpoints]
+
+
+@given(data=st.data(), n=st.integers(1, 120), depth=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_orbit_report_matches_oracle_at_every_checkpoint(data, n, depth):
+    stream, base = _ud_source(data.draw)
+    cps = _checkpoints(data.draw, n)
+    rep = ud_report(stream, "orbit", n, cps, orbit_depth=depth)
+    pts = []
+    for m in range(1, n + 1):
+        if isinstance(base, Affine):      # a rational x: the exact tail
+            prod = math.prod(base.q(j) for j in range(1, m + 1))
+            v = stream.value * prod
+            pts.append(v - v.numerator // v.denominator)
+            continue
+        lo, scale = Fraction(0), Fraction(1)
+        for j in range(m + 1, m + depth + 1):
+            scale /= base.q(j)
+            lo += stream.digit(j) * scale
+        mid = lo + scale / 2
+        pts.append(mid if mid < 1 else Fraction(0))
+    assert rep.discrepancy == [star_discrepancy_oracle(pts[:c])
+                               for c in rep.checkpoints]
+
+
+@pytest.mark.parametrize("label", ["affine", "geometric", "qnex",
+                                   "explicit-head", "periodic"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_normality_report_against_term_sums_and_slice_counts(label, data):
+    # k = 0 has weights only over bases periodic from q_1 (the closed form)
+    k = data.draw(st.integers(0 if label == "periodic" else 1, 2))
+    n = data.draw(st.integers(1, 60 if label == "geometric" else 400))
+    x = Fraction(data.draw(st.integers(1, 10 ** 6 - 1)), 10 ** 6)
+    if label == "qnex":
+        base, stream = qnex_pair(data.draw(st.sampled_from([1, 2, 6])))
+    else:
+        base = {"affine": Affine(3, 2), "geometric": Geometric(3, 2),
+                "explicit-head": Explicit([7, 2, 5], Periodic([3, 4])),
+                "periodic": Periodic([3, 5, 2])}[label]
+        stream = expand_rational(x, base)
+    cps = _checkpoints(data.draw, n)
+    rep = normality_report(stream, k, 2, n, cps)
+    cps = sorted(set(cps or rep.checkpoints))
+    assert rep.checkpoints == cps
+    terms = [Fraction(1, math.prod(base.q(j + i) for i in range(k)))
+             for j in range(1, cps[-1] + 1)]
+    assert rep.weights == [sum(terms[:c]) for c in cps]
+    assert rep.weights_exact
+    if k:
+        assert prefix_products(base, cps[-1], [k]).block_weights[k] == sum(terms)
+    digs = stream.digits(n + k - 1)
+    reached = [c for c in cps if c <= n]
+    for b in rep.blocks:
+        assert rep.counts[b] == [sum(tuple(digs[j:j + k]) == b for j in range(c))
+                                 for c in reached]
+
+
+def test_normality_report_at_block_length_0_counts_every_position():
+    rep = normality_report(expand_rational(Fraction(2, 7), Constant(3)), 0, 2,
+                           30, [30, 4, 4, 50])
+    assert rep.blocks == [()]
+    assert rep.counts == {(): [4, 30]}
+    assert rep.weights == [4, 30, 50]
+
+
+def test_normality_report_rejects_a_negative_block_length():
+    with pytest.raises(SpecError):
+        normality_report(expand_rational(Fraction(2, 7), Constant(3)), -1, 2, 30)

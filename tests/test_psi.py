@@ -196,6 +196,14 @@ def test_variation_formula_over_equal_constants_at_deep_stage():
         assert variation_formula(Constant(3), Constant(3), t).value == 2
 
 
+def test_variation_rejects_a_negative_stage():
+    for fn in (variation_formula, variation_oracle):
+        with pytest.raises(ck.SpecError):
+            fn(Constant(3), Constant(2), -1)
+    assert variation_formula(Constant(3), Constant(2), 0).value == \
+        variation_oracle(Constant(3), Constant(2), 0)
+
+
 def test_variation_oracle_stops_past_its_cell_cap():
     with pytest.raises(ck.UndecidedError):
         variation_oracle(Constant(2), Constant(3), 21)    # 2^21 cells
