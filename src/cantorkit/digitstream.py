@@ -8,10 +8,13 @@ tag saying which form they are.
 
 Digits are materialised in bulk: every read that runs past the memo calls
 the stream's `_fill(n)` once, which extends the memo to exactly n digits.
-Rule-backed streams call their rule per digit there; rational expansions,
-terminating streams, their dual forms and psi images override `_fill` with
-tight loops (rational remainders are integers over the fixed denominator).
-Exact prefix sums go through `horner`, with one Fraction at the end.
+A fill reads the base entries it needs as one run, `base.entries(lo, n)`,
+never one `base.q(j)` call per index.  Rule-backed streams call their rule
+per digit beside that run; rational expansions, terminating streams, their
+dual forms and psi images override `_fill` with tight loops (rational
+remainders are integers over the fixed denominator).  Exact prefix sums go
+through `horner`, which zips a run of entries with the digits, with one
+Fraction at the end.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ class DigitStream:
 
     def _fill(self, n: int) -> None:
         """Extend the memo to n digits (n > len(memo)) through the rule."""
-        memo, rule, q = self._memo, self._rule, self.base.q
-        for j in range(len(memo) + 1, n + 1):
+        memo, rule, start = self._memo, self._rule, len(self._memo)
+        for j, qj in enumerate(self.base.entries(start, n), start + 1):
             d = rule(j)
-            qj = q(j)
             if not 0 <= d < qj:
                 raise SpecError(f"digit E_{j} = {d} outside [0, {qj})")
             memo.append(d)
@@ -97,8 +99,7 @@ class _HeadStream(DigitStream):
         memo = self._memo
         memo += self._head[len(memo):n]
         if self._max_tail:
-            q = self.base.q
-            memo += [q(j) - 1 for j in range(len(memo) + 1, n + 1)]
+            memo += [qj - 1 for qj in self.base.entries(len(memo), n)]
         else:
             memo += [0] * (n - len(memo))
 
@@ -107,12 +108,11 @@ def from_digits(base: BasicSeq, digits: list[int], e0: int = 0) -> DigitStream:
     """Terminating stream: the given digits, then zeros forever."""
     digits = [int(d) for d in digits]
     last = 0
-    for i, d in enumerate(digits):
-        if not 0 <= d < base.q(i + 1):
-            raise SpecError(f"digit {d} at position {i + 1} outside "
-                            f"[0, {base.q(i + 1)})")
+    for i, (d, qi) in enumerate(zip(digits, base.entries(0, len(digits))), 1):
+        if not 0 <= d < qi:
+            raise SpecError(f"digit {d} at position {i} outside [0, {qi})")
         if d:
-            last = i + 1
+            last = i
     return _HeadStream(base, digits, False, e0=e0, canonicity=TERMINATING,
                        last_nonzero=last if (last or e0) else 0)
 
@@ -149,13 +149,14 @@ class RationalDigitStream(DigitStream):
             self.last_nonzero = 0
 
     def _fill(self, n: int) -> None:
-        memo, rems, b, q = self._memo, self._rems, self._den, self.base.q
+        memo, rems, b = self._memo, self._rems, self._den
         start = len(memo)
         r = rems[-1]
-        for j in range(start + 1, n + 1):
-            d, r = divmod(r * q(j), b)
-            memo.append(d)
-            rems.append(r)
+        add_digit, add_rem = memo.append, rems.append
+        for qj in self.base.entries(start, n):
+            d, r = divmod(r * qj, b)
+            add_digit(d)
+            add_rem(r)
         if r == 0 and self.last_nonzero is None:
             # a zero remainder stays zero, and the digit that first reaches
             # it is nonzero (r_{t-1} q_t = E_t b with r_{t-1} > 0)
@@ -190,18 +191,17 @@ class Enclosure:
         return self.lo <= v <= self.hi
 
 
-def horner(q: Callable[[int], int], digits: Iterable[int],
-           start: int = 0) -> tuple[int, int]:
-    """Integers (num, den) with den = q_{start+1}..q_{start+k} and
-    num/den = sum_{i<=k} d_i/(q_{start+1}..q_{start+i}) for the digits
-    d_1..d_k at positions start+1..start+k.
+def horner(qs: Iterable[int], digits: Iterable[int]) -> tuple[int, int]:
+    """Integers (num, den) with den = q_1..q_k and
+    num/den = sum_{i<=k} d_i/(q_1..q_i) for the entries q_1..q_k of `qs`
+    zipped with the digits d_1..d_k; k is the shorter length.
 
+    A sum over positions lo+1..hi reads the run `base.entries(lo, hi)`.
     One Horner step per digit (num = num*q + d, den *= q), so exact prefix
     sums pay no gcd until the caller builds its Fraction.
     """
     num, den = 0, 1
-    for j, d in enumerate(digits, start + 1):
-        qj = q(j)
+    for d, qj in zip(digits, qs):
         num = num * qj + d
         den *= qj
     return num, den
@@ -211,7 +211,7 @@ def enclose_prefix(stream: DigitStream, n: int) -> Enclosure:
     """Exact interval containing the stream's value, from its first n digits."""
     if n < 0:
         raise SpecError(f"depth {n} < 0")
-    num, den = horner(stream.base.q, stream.digits(n))
+    num, den = horner(stream.base.entries(0, n), stream.digits(n))
     lo = stream.e0 * den + num
     return Enclosure(Fraction(lo, den), Fraction(lo + 1, den))
 
@@ -241,13 +241,15 @@ def shift_T(stream: DigitStream, n: int, depth: Optional[int] = None) -> Enclosu
         r = stream.remainder(n)
         return Enclosure(r, r)
     if stream.canonicity == TERMINATING and stream.last_nonzero is not None:
-        num, den = horner(stream.base.q,
-                          stream._span(n, max(n, stream.last_nonzero)), n)
+        hi = max(n, stream.last_nonzero)
+        digits = stream._span(n, hi)
+        num, den = horner(stream.base.entries(n, hi), digits)
         v = Fraction(num, den)
         return Enclosure(v, v)
     if depth is None:
         depth = 40
-    num, den = horner(stream.base.q, stream._span(n, n + depth), n)
+    digits = stream._span(n, n + depth)
+    num, den = horner(stream.base.entries(n, n + depth), digits)
     return Enclosure(Fraction(num, den), Fraction(num + 1, den))
 
 

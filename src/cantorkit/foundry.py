@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .seqcore import (BasicSeq, Formula, SEQ_REGISTRY, SpecError,
@@ -200,6 +201,20 @@ class StagedSeq(BasicSeq):
 
     def q(self, n: int) -> int:
         return self._entry(*self.locate(n))
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        n = lo + 1
+        i, t = self.locate(n)
+        while True:
+            k = i - self.first_stage
+            word, stop = self._words[k], min(hi, self._ends[k + 1])
+            while n <= stop:    # the rest of one copy of V(i, i^2)
+                m = min(stop - n + 1, word - t + 1)
+                yield from map(self._entry, repeat(i, m), range(t, t + m))
+                n, t = n + m, 1
+            if n > hi:
+                return
+            i, t = self.locate(n)    # lays out the next stage: (i + 1, 1)
 
     def describe(self) -> dict:
         return {"kind": self.kind, "first_stage": self.first_stage}
@@ -429,23 +444,25 @@ def orbit_closeness(x: DigitStream, y: DigitStream, n_max: int,
     x.digits(n_max + depth + 1)
     y.digits(n_max + depth + 1)
 
-    def upper(n: int, m: int) -> tuple[int, int]:
-        # (num, den) of the upper bracket from m exact terms: the tail of
-        # all-ones gaps past them is < 2/den
-        num, den = horner(q.q, (y.digit(j) - x.digit(j)
-                                for j in range(n + 1, n + m + 1)), n)
+    def gaps(n: int, m: int) -> list[int]:
+        """y_j - x_j for n < j <= n + m."""
+        return [b - a for a, b in zip(x._span(n, n + m), y._span(n, n + m))]
+
+    def upper(n: int, g: list[int]) -> tuple[int, int]:
+        # (num, den) of the upper bracket from the exact terms g: the tail
+        # of all-ones gaps past them is < 2/den
+        num, den = horner(q.entries(n, n + len(g)), g)
         return num + 2, den
 
-    for n in range(1, n_max + 1):
-        if any(y.digit(j) - x.digit(j) not in (0, 1)
-               for j in range(n + 1, n + depth + 1)):
+    for n, qn in enumerate(q.entries(0, n_max), 1):
+        g = gaps(n, depth)
+        if any(v not in (0, 1) for v in g):
             raise SpecError("orbit closeness expects digit gaps in {0,1}")
-        qn = q.q(n)
-        num, den = upper(n, depth)
+        num, den = upper(n, g)
         worst = max(worst, Fraction(qn * num, den))
         if qn * num > den and qn * (num - 2) <= den:
             # bracket straddles: refine by doubling depth once
-            num, den = upper(n, 2 * depth)
+            num, den = upper(n, gaps(n, 2 * depth))
             worst = max(worst, Fraction(qn * num, den))
         if qn * num > den:
             ok = False

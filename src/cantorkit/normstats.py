@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .seqcore import (BasicSeq, SpecError, block_weight_sums,
                       default_checkpoints)
-from .digitstream import DigitStream, shift_T
+from .digitstream import UNKNOWN, DigitStream, shift_T
 
 
 def count_blocks(stream: DigitStream, block: Sequence[int], n: int,
@@ -96,14 +96,13 @@ def _checkpoint_weights(q_seq: BasicSeq, k: int, checkpoints: Sequence[int],
 
 
 def _float_weight(q_seq: BasicSeq, k: int, n: int) -> float:
+    """Q_n^(k) in floats: the log of the window q_j..q_{j+k-1} slides by
+    one entry per step, entering from one run and leaving from another."""
     total = 0.0
-    window = [q_seq.q(j) for j in range(1, k + 1)]
-    logw = math.fsum(math.log(v) for v in window)
-    for j in range(1, n + 1):
+    logw = math.fsum(map(math.log, q_seq.entries(0, k)))
+    for nxt, old in zip(q_seq.entries(k, n + k), q_seq.entries(0, n)):
         total += math.exp(-logw)
-        nxt = q_seq.q(j + k)
-        logw += math.log(nxt) - math.log(window[0])
-        window = window[1:] + [nxt]
+        logw += math.log(nxt) - math.log(old)
     return total
 
 
@@ -132,15 +131,14 @@ def normality_report(stream: DigitStream, k: int, digit_alphabet: int, n: int,
     if checkpoints is None:
         checkpoints = default_checkpoints(n)
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n):
+        raise SpecError("checkpoints must lie in [1, n]")
     blocks = list(itertools.product(range(digit_alphabet), repeat=k))
     digits = stream.digits(n + k - 1)
-    # counts are taken at the checkpoints in [1, n], none when one is below 1
-    reached = [] if checkpoints and checkpoints[0] < 1 else \
-        [c for c in checkpoints if c <= n]
     counts = {b: [] for b in blocks}
     running = Counter()
     prev = 0
-    for c in reached:
+    for c in checkpoints:
         if k:
             running.update(_windows(digits, k, prev, c))
         else:
@@ -281,24 +279,31 @@ def accumulation_estimate(stream: DigitStream, n: int, grid: int = 100) -> Accum
     level-set and Delta-cell arguments care about; the late-half window
     drops transient early digits.
     """
-    q = stream.base.q
     lo = n // 2
-    hits = {min(d * grid // q(m), grid - 1)
-            for m, d in enumerate(stream._span(lo, n), lo + 1)}
-    cells = sorted(hits)
+    hits = {d * grid // q
+            for d, q in zip(stream._span(lo, n), stream.base.entries(lo, n))}
+    cells = sorted({min(c, grid - 1) for c in hits})
     return AccumulationReport(n=n, grid=grid, hit_cells=cells,
                               coverage=len(cells) / grid)
+
+
+class _GoldenStream(DigitStream):
+    """Digits E_n = floor(frac(n g / one) q_n) in integers, one = 2^bits."""
+
+    def __init__(self, q_seq: BasicSeq, bits: int):
+        super().__init__(q_seq, None, canonicity=UNKNOWN, label="golden")
+        self._bits = bits
+        self._g = math.isqrt(5 << (2 * bits)) - (1 << bits)  # ~ (sqrt5-1)/2
+
+    def _fill(self, n: int) -> None:
+        start, bits, g = len(self._memo), self._bits, self._g
+        mask = (1 << bits) - 1     # j g mod one
+        self._memo += [(j * g & mask) * q >> bits for j, q in
+                       enumerate(self.base.entries(start, n), start + 1)]
 
 
 def golden_ratio_stream(q_seq: BasicSeq, precision_bits: int = 256) -> DigitStream:
     """Digits E_n = floor(theta_n q_n) with theta_n = frac(n * g), g the
     golden-section constant at fixed rational precision.  A deterministic
     low-discrepancy digit source for tests and examples."""
-    one = 1 << precision_bits
-    g = math.isqrt(5 << (2 * precision_bits)) - one   # g / one ~ (sqrt5-1)/2
-
-    def rule(n: int) -> int:
-        # floor(frac(n g / one) * q_n), in integers
-        return (n * g % one * q_seq.q(n)) >> precision_bits
-
-    return DigitStream(q_seq, rule, canonicity="unknown", label="golden")
+    return _GoldenStream(q_seq, precision_bits)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .seqcore import (BasicSeq, Formula, HypothesisError, SpecError,
@@ -37,9 +38,12 @@ class _ImageStream(DigitStream):
 
     def _fill(self, n: int) -> None:
         self._source.digit(n)        # fills the source's memo through n
-        src, q = self._source._memo, self.base.q
-        self._memo += [min(src[j - 1], q(j) - 1)
-                       for j in range(len(self._memo) + 1, n + 1)]
+        lo = len(self._memo)
+        # min(E_j, q_j - 1) by one comparison (a call to min costs several
+        # times more), reading the source memo in place
+        self._memo += [d if d < q else q - 1 for d, q in
+                       zip(islice(self._source._memo, lo, n),
+                           self.base.entries(lo, n))]
 
 
 def psi_map(stream: DigitStream, q_seq: BasicSeq,
@@ -164,18 +168,22 @@ def approximant_eval(p_seq: BasicSeq, q_seq: BasicSeq, t: int, x) -> Fraction:
                         x.numerator % den, den)
 
 
+def _clamp_horner(p_seq: BasicSeq, q_seq: BasicSeq, lo: int,
+                  hi: int) -> tuple[int, int]:
+    """Horner (num, den) over Q of min(p_j, q_j) - 1 for lo < j <= hi."""
+    return horner(q_seq.entries(lo, hi),
+                  (min(p, q) - 1 for p, q in zip(p_seq.entries(lo, hi),
+                                                 q_seq.entries(lo, hi))))
+
+
 def approximant_left_limit_at_one(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
-    num, qprod = horner(q_seq.q, (min(p_seq.q(n), q_seq.q(n)) - 1
-                                  for n in range(1, t + 1)))
+    num, qprod = _clamp_horner(p_seq, q_seq, 0, t)
     return Fraction(num + 1, qprod)
 
 
 def approximant_bound(q_seq: BasicSeq, t: int) -> Fraction:
     """Uniform bound |psi - stage-t approximant| <= 2/(q_1..q_t) <= 2^-(t-1)."""
-    prod = 1
-    for n in range(1, t + 1):
-        prod *= q_seq.q(n)
-    return Fraction(2, prod)
+    return Fraction(2, math.prod(q_seq.entries(0, t)))
 
 
 def approximant_integral(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
@@ -186,15 +194,14 @@ def approximant_integral(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> Fraction:
     slope term averages to half a cell height, 1/(2 q_1..q_t).  The means
     share the denominator L = lcm(p_1..p_t), so the sum is one Horner pass.
     """
-    ps = p_seq.prefix(t)
+    ps, qs = p_seq.prefix(t), q_seq.prefix(t)
     L = math.lcm(*set(ps))
 
     def mean_times_L(p: int, q: int) -> int:
         m = min(p, q)   # s_n = sum over e < p of min(e, q - 1)
         return (m * (m - 1) // 2 + (p - m) * (q - 1)) * (L // p)
 
-    num, qprod = horner(q_seq.q, (mean_times_L(p, q_seq.q(n))
-                                  for n, p in enumerate(ps, 1)))
+    num, qprod = horner(qs, map(mean_times_L, ps, qs))
     return Fraction(2 * num + L, 2 * L * qprod)
 
 
@@ -271,25 +278,20 @@ def _clamp_tail_sum(p_seq: BasicSeq, q_seq: BasicSeq, t: int,
     certificate exists (the remainder telescopes to a single product) or
     when both bases are eventually periodic (geometric closed form).
     """
-    def clamp_sum(lo: int, hi: int) -> tuple[int, int]:
-        # Horner (num, den) of min(p_j, q_j) - 1 over lo < j <= hi
-        return horner(q_seq.q, (min(p_seq.q(j), q_seq.q(j)) - 1
-                                for j in range(lo + 1, hi + 1)), lo)
-
     J = certify_ge_tail(p_seq, q_seq, t, horizon)
     if J is not None:
-        num, rel = clamp_sum(t, J)
+        num, rel = _clamp_horner(p_seq, q_seq, t, J)
         s = Fraction(num + 1, rel)   # telescoped all-(q_j - 1) remainder past J
         return s, (s, s)
     pp, qp = p_seq.eventual_period(), q_seq.eventual_period()
     if pp is not None and qp is not None:
         s0 = max(pp[0], qp[0], t)
-        num, rel = clamp_sum(t, s0)
-        bnum, brel = clamp_sum(s0, s0 + math.lcm(pp[1], qp[1]))
+        num, rel = _clamp_horner(p_seq, q_seq, t, s0)
+        bnum, brel = _clamp_horner(p_seq, q_seq, s0, s0 + math.lcm(pp[1], qp[1]))
         # head + (block sum * brel/(brel - 1)) / rel, the block repeating
         s = Fraction(num * (brel - 1) + bnum, rel * (brel - 1))
         return s, (s, s)
-    num, rel = clamp_sum(t, horizon)
+    num, rel = _clamp_horner(p_seq, q_seq, t, horizon)
     return None, (Fraction(num, rel), Fraction(num + 1, rel))
 
 
@@ -401,7 +403,7 @@ def variation_formula(p_seq: BasicSeq, q_seq: BasicSeq, t: int) -> VariationRepo
     for p, q in zip(ps, qs):
         coeffs.append(sum_p * (p + q))
         sum_p += p
-    ub_num, _ = horner(q_seq.q, coeffs)
+    ub_num, _ = horner(qs, coeffs)
     rep.upper_bound = Fraction(2 * ub_num + 2 * pprod + D, D)
     return rep
 

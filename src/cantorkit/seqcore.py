@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain, cycle, islice, repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class SpecError(ValueError):
@@ -36,6 +37,21 @@ class BasicSeq:
     def q(self, n: int) -> int:
         raise NotImplementedError
 
+    def entries(self, lo: int, hi: int) -> Iterator[int]:
+        """q_{lo+1}..q_hi as a lazy iterator, empty when hi <= lo.
+
+        Bulk readers (digit fills, Horner sums) take entries here, so a
+        kind that can step from one entry to the next pays no per-index
+        lookup.
+        """
+        if lo < 0:
+            raise SpecError(f"index {lo + 1} < 1")
+        return self._entries(lo, hi) if hi > lo else iter(())
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        """entries(lo, hi) for 0 <= lo < hi."""
+        return map(self.q, range(lo + 1, hi + 1))
+
     def eventual_period(self) -> Optional[tuple[int, int]]:
         """(start, period) with q_n = q_{n+period} for all n > start, when
         the kind guarantees one; None otherwise."""
@@ -46,7 +62,7 @@ class BasicSeq:
         return None
 
     def prefix(self, n: int) -> list[int]:
-        return [self.q(i) for i in range(1, n + 1)]
+        return list(self.entries(0, n))
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -72,6 +88,9 @@ class Constant(BasicSeq):
         if n < 1:
             raise SpecError(f"index {n} < 1")
         return self.value
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        return repeat(self.value, hi - lo)
 
     def eventual_period(self) -> tuple[int, int]:
         return (0, 1)
@@ -99,6 +118,12 @@ class Affine(BasicSeq):
         if n < 1:
             raise SpecError(f"index {n} < 1")
         return _check_entry(self.a + self.d * n, n)
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        if self.d == 0:
+            return repeat(self.a, hi - lo)
+        return iter(range(self.a + self.d * (lo + 1), self.a + self.d * hi + 1,
+                          self.d))
 
     def describe(self) -> dict:
         return {"kind": "affine", "a": self.a, "d": self.d}
@@ -141,6 +166,10 @@ class Periodic(BasicSeq):
             raise SpecError(f"index {n} < 1")
         return self.values[(n - 1) % len(self.values)]
 
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        r = lo % len(self.values)
+        return islice(cycle(self.values[r:] + self.values[:r]), hi - lo)
+
     def eventual_period(self) -> tuple[int, int]:
         return (0, len(self.values))
 
@@ -168,6 +197,11 @@ class Explicit(BasicSeq):
         if n <= len(self.head):
             return self.head[n - 1]
         return self.tail.q(n - len(self.head))
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        h = len(self.head)
+        return chain(self.head[lo:hi],
+                     self.tail.entries(max(lo - h, 0), hi - h))
 
     def eventual_period(self) -> Optional[tuple[int, int]]:
         t = self.tail.eventual_period()
@@ -249,6 +283,19 @@ class Concatenated(BasicSeq):
             lo = hi
         raise AssertionError("unreachable")
 
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        start = 0    # the index before the current segment
+        for (seq, _, seglen), end in zip(self.segments, self._bounds):
+            stop = hi if end is None else min(hi, end)
+            while lo < stop:    # one pass of the segment's first seglen
+                off = (lo - start) % seglen
+                m = min(seglen - off, stop - lo)
+                yield from seq.entries(off, off + m)
+                lo += m
+            if lo >= hi:
+                return
+            start = end
+
     def describe(self) -> dict:
         return {"kind": "concatenated",
                 "segments": [
@@ -275,9 +322,17 @@ class IID(BasicSeq):
     def q(self, n: int) -> int:
         if n < 1:
             raise SpecError(f"index {n} < 1")
+        self._draw(n)
+        return self._memo[n - 1]
+
+    def _draw(self, n: int) -> None:
+        """Extend the memo to at least n draws."""
         while len(self._memo) < n:
             self._memo.append(self._rng.randint(self.lo, self.hi))
-        return self._memo[n - 1]
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        self._draw(hi)
+        return islice(self._memo, lo, hi)
 
     def upper_bound(self) -> int:
         return self.hi
@@ -377,17 +432,20 @@ def block_weight_sums(qs: Sequence[int], k: int,
 
     Each segment between checkpoints is summed by binary splitting and
     joined onto the running total the same way; the total stays an
-    integer over q_1..q_{c+k-1}, with one Fraction per checkpoint.
+    integer over q_1..q_{c+k-1}, with one Fraction per checkpoint.  At
+    k = 0 every term is 1 (the empty product), so Q_c^(0) = c.
     """
-    if k < 1:
-        raise SpecError("block lengths must be >= 1")
+    if k < 0:
+        raise SpecError(f"block length {k} < 0")
+    if checkpoints and min(checkpoints) < 0:
+        raise SpecError(f"horizon {min(checkpoints)} < 0")
+    if k == 0:
+        return [Fraction(c) for c in checkpoints]
     head = math.prod(qs[:k - 1])
     num, left, right = 0, 1, 1
     prev = 0
     out = []
     for c in checkpoints:
-        if c < 0:
-            raise SpecError(f"horizon {c} < 0")
         if c > prev:
             n2, l2, r2 = _split_sum(qs, k, prev, c)
             num, left, right = num * r2 + left * n2, left * l2, right * r2

@@ -280,6 +280,15 @@ def test_construct_rdn_continues_into_the_next_copy(capsys):
         assert row == ",".join(map(str, (n,) + entry))
 
 
+def test_normality_at_block_length_0_over_an_affine_base(capsys):
+    rc, out = run(capsys, ["normality", "--base", '{"kind":"affine","a":2,"d":1}',
+                           "--x", "1/3", "--k", "0", "--n", "10"])
+    rep = json.loads(out)
+    assert rc == 0
+    assert rep["weights"] == [f"{c}/1" for c in rep["checkpoints"]]
+    assert rep["blocks"][""]["counts"] == rep["checkpoints"]
+
+
 def test_dimension_zpq_has_no_k(capsys):
     outs = []
     for k in ("1", "7"):

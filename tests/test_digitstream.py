@@ -20,7 +20,8 @@ from cantorkit.digitstream import (
     shift_T,
     stream_value,
 )
-from cantorkit.psi import psi_map
+from cantorkit.normstats import golden_ratio_stream
+from cantorkit.psi import compose_chain, psi_map
 from cantorkit.seqcore import (IID, Affine, Concatenated, Constant, Explicit,
                                Formula, Geometric, Periodic, SpecError)
 
@@ -207,6 +208,43 @@ def test_partial_fills_in_any_order_match_one_fill(x, base, kind, reads):
             assert shift_T(s, k) == shift_T(whole, k)
     assert s.digits(120) == one
     assert (s.canonicity, s.last_nonzero) == (whole.canonicity, whole.last_nonzero)
+
+
+PIECE_KINDS = {
+    "rational": lambda base, x: expand_rational(x, base),
+    "rule": lambda base, x: from_rule(base, lambda n: (3 * n + 1) % base.q(n)),
+    "golden": lambda base, x: golden_ratio_stream(base, 64),
+    "dual": lambda base, x: canonicalize(
+        from_digits(base, expand_rational(x, base).digits(5))),
+    "image": lambda base, x: psi_map(expand_rational(x, Constant(7)), base),
+    "chain": lambda base, x: compose_chain(expand_rational(x, base),
+                                           [Periodic([3, 5]), base, Affine(2, 1)]),
+}
+
+
+@given(x=unit_fraction(), base=every_base_kind,
+       kind=st.sampled_from(sorted(PIECE_KINDS)), a=st.integers(0, 50),
+       j=st.integers(1, 80), lo=st.integers(0, 60), width=st.integers(0, 40),
+       b=st.integers(0, 120))
+@settings(max_examples=200, deadline=None)
+def test_fills_done_in_pieces_match_one_fill(x, base, kind, a, j, lo, width, b):
+    # each fill starts its run of base entries where the memo ends
+    n = 120
+    one = PIECE_KINDS[kind](base, x).digits(n)
+    s = PIECE_KINDS[kind](base, x)
+    assert s.digits(a) == one[:a]
+    assert s.digit(j) == one[j - 1]
+    assert s._span(lo, lo + width) == one[lo:lo + width]
+    assert s.digits(b) == one[:b]
+    assert s.digits(n) == one
+    qs = [base.q(m) for m in range(1, n + 1)]
+    if kind == "rational":
+        assert one == _multiply_and_floor(x, base, n)[0]
+    elif kind == "image":
+        src, _ = _multiply_and_floor(x, Constant(7), n)
+        assert one == [min(d, q - 1) for d, q in zip(src, qs)]
+    elif kind == "dual":
+        assert one[5:] == [q - 1 for q in qs[5:]]
 
 
 def _prefix_sum(stream, lo, hi):

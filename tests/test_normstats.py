@@ -255,8 +255,7 @@ def test_orbit_report_matches_oracle_at_every_checkpoint(data, n, depth):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_normality_report_against_term_sums_and_slice_counts(label, data):
-    # k = 0 has weights only over bases periodic from q_1 (the closed form)
-    k = data.draw(st.integers(0 if label == "periodic" else 1, 2))
+    k = data.draw(st.integers(0, 2))
     n = data.draw(st.integers(1, 60 if label == "geometric" else 400))
     x = Fraction(data.draw(st.integers(1, 10 ** 6 - 1)), 10 ** 6)
     if label == "qnex":
@@ -267,6 +266,10 @@ def test_normality_report_against_term_sums_and_slice_counts(label, data):
                 "periodic": Periodic([3, 5, 2])}[label]
         stream = expand_rational(x, base)
     cps = _checkpoints(data.draw, n)
+    if cps and max(cps) > n:
+        with pytest.raises(SpecError, match=r"checkpoints must lie in \[1, n\]"):
+            normality_report(stream, k, 2, n, cps)
+        return
     rep = normality_report(stream, k, 2, n, cps)
     cps = sorted(set(cps or rep.checkpoints))
     assert rep.checkpoints == cps
@@ -277,18 +280,36 @@ def test_normality_report_against_term_sums_and_slice_counts(label, data):
     if k:
         assert prefix_products(base, cps[-1], [k]).block_weights[k] == sum(terms)
     digs = stream.digits(n + k - 1)
-    reached = [c for c in cps if c <= n]
     for b in rep.blocks:
         assert rep.counts[b] == [sum(tuple(digs[j:j + k]) == b for j in range(c))
-                                 for c in reached]
+                                 for c in cps]
 
 
 def test_normality_report_at_block_length_0_counts_every_position():
     rep = normality_report(expand_rational(Fraction(2, 7), Constant(3)), 0, 2,
-                           30, [30, 4, 4, 50])
+                           30, [30, 4, 4])
     assert rep.blocks == [()]
     assert rep.counts == {(): [4, 30]}
-    assert rep.weights == [4, 30, 50]
+    assert rep.weights == [4, 30]
+
+
+@pytest.mark.parametrize("base", [Affine(2, 1), Geometric(3, 2),
+                                  Explicit([7], Periodic([3, 4])),
+                                  qnex_pair(1)[0]], ids=repr)
+def test_block_weight_at_length_0_is_the_horizon_on_every_route(base):
+    # the empty block's product is 1: Q_c^(0) = c, exact or past exact_limit
+    assert block_weight(base, 0, 10) == (10, True)
+    assert block_weight(base, 0, 400, exact_limit=100) == (400.0, False)
+    assert prefix_products(base, 12, [0]).block_weights == {0: 12}
+    rep = normality_report(from_rule(base, lambda j: 1), 0, 2, 50)
+    assert rep.weights == rep.counts[()] == rep.checkpoints
+
+
+@pytest.mark.parametrize("cps", [[5, 20], [0, 5], [-3], [11]])
+def test_normality_report_rejects_checkpoints_outside_1_to_n(cps):
+    stream = expand_rational(Fraction(2, 7), Constant(3))
+    with pytest.raises(SpecError, match=r"checkpoints must lie in \[1, n\]"):
+        normality_report(stream, 1, 2, 10, cps)
 
 
 def test_normality_report_rejects_a_negative_block_length():

@@ -202,3 +202,66 @@ def _spec_strategy():
 @settings(max_examples=60, deadline=None)
 def test_declared_properties_hold_for_every_spec(spec):
     _check_declared_on_window(from_spec(spec))
+
+
+# entries(lo, hi): each kind's run of q_{lo+1}..q_hi against q(j) per index
+
+def _entry_seqs():
+    small = st.integers(2, 7)
+    leaf = st.one_of(
+        small.map(Constant),
+        st.builds(Affine, st.integers(2, 5), st.integers(0, 3)),   # d = 0 too
+        st.builds(Geometric, st.integers(2, 3), st.integers(1, 3)),
+        st.lists(small, min_size=1, max_size=5).map(Periodic),
+        st.builds(IID, st.integers(2, 4), st.integers(4, 9), st.integers(0, 99)),
+        small.map(lambda c: Formula(lambda n: n % 5 + c)),
+    )
+
+    def concatenated(inner):
+        segment = st.tuples(inner, st.integers(0, 3), st.integers(1, 4))
+        return st.builds(lambda segs, last, seglen: Concatenated(
+            segs + [(last, None, seglen)]),
+            st.lists(segment, max_size=3), inner, st.integers(1, 4))
+
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.builds(Explicit, st.lists(small, max_size=4), inner),
+        concatenated(inner)), max_leaves=4)
+
+
+@given(seq=_entry_seqs(), lo=st.integers(0, 60), hi=st.integers(-3, 90))
+@settings(max_examples=200, deadline=None)
+def test_entries_match_q_per_index(seq, lo, hi):
+    run = seq.entries(lo, hi)
+    assert iter(run) is run                  # an iterator, not a list
+    assert list(run) == [seq.q(j) for j in range(lo + 1, hi + 1)]
+    assert seq.prefix(max(hi, 0)) == [seq.q(j) for j in range(1, hi + 1)]
+
+
+@given(seq=_entry_seqs(), lo=st.integers(-5, -1), hi=st.integers(-8, 20))
+@settings(max_examples=30, deadline=None)
+def test_entries_reject_an_index_below_1(seq, lo, hi):
+    with pytest.raises(SpecError):
+        seq.entries(lo, hi)
+
+
+def _staged(name):
+    from cantorkit import foundry
+    return {"qnex1": lambda: foundry.qnex_pair(1)[0],
+            "qnex2": lambda: foundry.qnex_pair(2)[0],
+            "rdn2": lambda: foundry.RdnSeq(2),
+            "kappa2": lambda: foundry.rdn_kappa(2)[0]}[name]()
+
+
+@pytest.mark.parametrize("name", ["qnex1", "qnex2", "rdn2", "kappa2"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_staged_entries_straddle_stage_and_copy_ends(name, data):
+    seq = _staged(name)
+    seq.locate(2 ** 27)          # lays out the stage ends below 2^27
+    # a stage end, the end of a copy of V(i, i^2) inside a stage, or 0
+    ends = seq._ends[:3] + [seq._ends[0] + 2 * seq._words[0]]
+    e = data.draw(st.sampled_from(ends))
+    lo = max(e - data.draw(st.integers(0, 40)), 0)
+    hi = e + data.draw(st.integers(0, 40))
+    fresh = _staged(name)        # entries must lay out the stages by itself
+    assert list(fresh.entries(lo, hi)) == [seq.q(j) for j in range(lo + 1, hi + 1)]
