@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
 from .seqcore import (BasicSeq, Formula, HypothesisError, SpecError,
@@ -40,9 +39,10 @@ class _ImageStream(DigitStream):
         self._source.digit(n)        # fills the source's memo through n
         lo = len(self._memo)
         # min(E_j, q_j - 1) by one comparison (a call to min costs several
-        # times more), reading the source memo in place
+        # times more), reading the source memo in place: islice would step
+        # from index 0 on every fill
         self._memo += [d if d < q else q - 1 for d, q in
-                       zip(islice(self._source._memo, lo, n),
+                       zip(map(self._source._memo.__getitem__, range(lo, n)),
                            self.base.entries(lo, n))]
 
 

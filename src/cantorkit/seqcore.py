@@ -283,19 +283,6 @@ class Concatenated(BasicSeq):
             lo = hi
         raise AssertionError("unreachable")
 
-    def _entries(self, lo: int, hi: int) -> Iterator[int]:
-        start = 0    # the index before the current segment
-        for (seq, _, seglen), end in zip(self.segments, self._bounds):
-            stop = hi if end is None else min(hi, end)
-            while lo < stop:    # one pass of the segment's first seglen
-                off = (lo - start) % seglen
-                m = min(seglen - off, stop - lo)
-                yield from seq.entries(off, off + m)
-                lo += m
-            if lo >= hi:
-                return
-            start = end
-
     def describe(self) -> dict:
         return {"kind": "concatenated",
                 "segments": [
@@ -332,7 +319,8 @@ class IID(BasicSeq):
 
     def _entries(self, lo: int, hi: int) -> Iterator[int]:
         self._draw(hi)
-        return islice(self._memo, lo, hi)
+        # in place from lo: islice would step from index 0 on every call
+        return map(self._memo.__getitem__, range(lo, hi))
 
     def upper_bound(self) -> int:
         return self.hi

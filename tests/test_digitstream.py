@@ -1,6 +1,7 @@
 """Tests for digit streams, rational expansion, and canonicalization."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,22 @@ def test_fills_done_in_pieces_match_one_fill(x, base, kind, a, j, lo, width, b):
         assert one == [min(d, q - 1) for d, q in zip(src, qs)]
     elif kind == "dual":
         assert one[5:] == [q - 1 for q in qs[5:]]
+
+
+def test_reading_images_over_iid_bases_one_digit_at_a_time_is_linear():
+    # each one-digit fill reads the source memo and the iid memo in place
+    # from where it starts; stepping from index 0 each time is O(n^2),
+    # about 100 times slower at this n
+    def chain():
+        src = expand_rational(Fraction(5, 7), IID(2, 9, seed=1))
+        return compose_chain(src, [IID(2, 5, seed=2), IID(2, 4, seed=3)])
+
+    n = 10 ** 5
+    image = chain()
+    start = time.perf_counter()
+    digs = [image.digit(m) for m in range(1, n + 1)]
+    assert time.perf_counter() - start < 5.0
+    assert digs == chain().digits(n)
 
 
 def _prefix_sum(stream, lo, hi):

@@ -195,12 +195,13 @@ def test_star_discrepancy_of_mixed_points_matches_oracle(pts):
     assert star_discrepancy(pts) == star_discrepancy_oracle(pts)
 
 
-def _checkpoints(draw, n):
-    """None (the default grid) or an unsorted list with repeats, some
-    checkpoints past n."""
+def _checkpoints(draw, n, top=None):
+    """None (the default grid) or an unsorted list with repeats of
+    checkpoints in [1, top]; top defaults to n + 5, so some lie past n."""
     if draw(st.booleans()):
         return None
-    cps = draw(st.lists(st.integers(1, n + 5), min_size=1, max_size=8))
+    top = n + 5 if top is None else top
+    cps = draw(st.lists(st.integers(1, top), min_size=1, max_size=8))
     return cps + draw(st.lists(st.sampled_from(cps), max_size=3))
 
 
@@ -265,11 +266,7 @@ def test_normality_report_against_term_sums_and_slice_counts(label, data):
                 "explicit-head": Explicit([7, 2, 5], Periodic([3, 4])),
                 "periodic": Periodic([3, 5, 2])}[label]
         stream = expand_rational(x, base)
-    cps = _checkpoints(data.draw, n)
-    if cps and max(cps) > n:
-        with pytest.raises(SpecError, match=r"checkpoints must lie in \[1, n\]"):
-            normality_report(stream, k, 2, n, cps)
-        return
+    cps = _checkpoints(data.draw, n, top=n)
     rep = normality_report(stream, k, 2, n, cps)
     cps = sorted(set(cps or rep.checkpoints))
     assert rep.checkpoints == cps
