@@ -43,6 +43,15 @@ def parse_rational(text: str) -> Fraction:
         raise SpecError(f"bad rational {text!r}: {e}") from None
 
 
+def parse_ints(text: str, what: str) -> list[int]:
+    """Comma-separated integers; empty text is the empty list."""
+    try:
+        return [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise SpecError(f"bad {what} {text!r}: expected comma-separated "
+                        "integers") from None
+
+
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -114,7 +123,10 @@ def _stream_from_args(base: BasicSeq, args) -> DigitStream:
     if args.source == "golden":
         return normstats.golden_ratio_stream(base)
     if args.source.startswith("iid:"):
-        lo, hi, seed = (int(v) for v in args.source[4:].split(","))
+        vals = parse_ints(args.source[4:], "iid source")
+        if len(vals) != 3:
+            raise SpecError(f"iid source {args.source!r} needs lo,hi,seed")
+        lo, hi, seed = vals
         draws = IID(max(lo + 2, 2), hi + 2, seed)   # reuse the seeded sampler
         return DigitStream(base, lambda n: min(draws.q(n) - 2, base.q(n) - 1),
                            canonicity="unknown", label="iid-digits")
@@ -223,13 +235,13 @@ def cmd_dimension(args):
     elif args.what == "range":
         rep = fracdim.range_report(p, q, horizon=args.horizon)
     elif args.what == "level":
-        digits = [int(v) for v in args.w.split(",")] if args.w else []
+        digits = parse_ints(args.w, "--w")
         rep = fracdim.level_report(p, q, digits, horizon=args.horizon)
     elif args.what == "levelsum":
         rep = fracdim.level_measure_sum(p, q, args.k)
     elif args.what == "multifractal":
-        rep = fracdim.multifractal_witness(p, q, Fraction(args.alpha),
-                                           Fraction(args.gamma),
+        rep = fracdim.multifractal_witness(p, q, parse_rational(args.alpha),
+                                           parse_rational(args.gamma),
                                            horizon=args.horizon)
     elif args.what == "zpq":
         rep = fracdim.zpq_dim_bounds(p, q, horizon=args.horizon)
@@ -264,13 +276,13 @@ def cmd_bv(args):
 
 def cmd_holder(args):
     rep = psi.holder_report(parse_seq(args.p), parse_seq(args.q),
-                            Fraction(args.alpha), horizon=args.horizon)
+                            parse_rational(args.alpha), horizon=args.horizon)
     data = dataclasses.asdict(rep)
     emit_json(data, args.out)
 
 
 def cmd_monotone_witness(args):
-    prefix = [int(v) for v in args.prefix.split(",")] if args.prefix else []
+    prefix = parse_ints(args.prefix, "--prefix")
     rep = psi.monotonicity_witness(parse_seq(args.p), parse_seq(args.q),
                                    prefix, horizon=args.horizon)
     emit_json(rep, args.out)

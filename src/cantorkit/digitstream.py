@@ -15,19 +15,83 @@ dual forms and psi images override `_fill` with tight loops (rational
 remainders are integers over the fixed denominator).  Exact prefix sums go
 through `horner`, which zips a run of entries with the digits, with one
 Fraction at the end.
+
+Memos (digits, and a rational stream's remainders) are `array.array`s of
+the narrowest unsigned type code in `_CODES` that holds them: 'B' (one
+byte a digit, the usual case), then 'I' (4 bytes) and an 8-byte code.  The
+code comes from the base's `upper_bound()` when it declares one (the
+denominator for remainders); otherwise the memo starts at 'B'.  A fill
+appends each run in bulk through `_append_run` (`frombytes` for 'B',
+`fromlist` for wider codes), and the first run that does not fit widens
+the memo once, to a list when a value reaches 2^64.  Long fills append
+chunks of `CHUNK` digits, so no fill holds a second full-length copy of
+its digits.  Reads in place (`memo[i]`, `map(memo.__getitem__, ...)`)
+work on either kind; `digits()` and `_span` return lists.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional, Union
 
 from .seqcore import BasicSeq, SpecError
 
 CANONICAL = "canonical"
 TERMINATING = "terminating"
 UNKNOWN = "unknown"
+
+CHUNK = 1 << 15     # digits a long fill appends at a time
+
+# unsigned type codes, narrowest first, with the first int each cannot
+# hold.  'H' is left out: its fromlist parses every item (27 ns against 7 ns
+# for 'I'); and 'L' is preferred to 'Q' where it has 8 bytes, as 'Q' converts
+# ints above 2^30 through a byte buffer (32 ns against 7 ns)
+_WIDE = "L" if array("L").itemsize == 8 else "Q"
+_CODES = [(code, 1 << 8 * array(code).itemsize) for code in ("B", "I", _WIDE)]
+
+Memo = Union[array, list]
+
+
+def _new_memo(top: Optional[int]) -> Memo:
+    """An empty memo for ints in [0, top]: the narrowest type code that
+    holds top ('B' when top is None), a list when none does."""
+    if top is None:
+        return array("B")
+    for code, limit in _CODES:
+        if top < limit:
+            return array(code)
+    return []
+
+
+def _append_run(memo: Memo, run: list[int]) -> Memo:
+    """Append the non-negative ints `run` to the memo in bulk; returns the
+    memo, widened first when the run does not fit its type code."""
+    if type(memo) is list:
+        memo += run
+        return memo
+    try:
+        if memo.typecode == "B":
+            memo.frombytes(bytearray(run))
+        else:
+            memo.fromlist(run)      # appends all of the run or none of it
+        return memo
+    except (ValueError, OverflowError):
+        wide = _new_memo(max(run))
+        if type(wide) is list:
+            return memo.tolist() + run
+        wide.fromlist(memo.tolist())
+        wide.fromlist(run)
+        return wide
+
+
+def _append_zeros(memo: Memo, k: int) -> None:
+    if type(memo) is list:
+        memo += [0] * k
+    else:
+        memo.frombytes(bytes(k * memo.itemsize))
 
 
 class DigitStream:
@@ -51,16 +115,30 @@ class DigitStream:
         self.last_nonzero = last_nonzero
         self.max_tail_start = max_tail_start
         self.label = label
-        self._memo: list[int] = []
+        top = base.upper_bound()
+        self._memo = _new_memo(None if top is None else top - 1)
+
+    def _append(self, run: list[int]) -> None:
+        self._memo = _append_run(self._memo, run)
 
     def _fill(self, n: int) -> None:
-        """Extend the memo to n digits (n > len(memo)) through the rule."""
-        memo, rule, start = self._memo, self._rule, len(self._memo)
-        for j, qj in enumerate(self.base.entries(start, n), start + 1):
-            d = rule(j)
-            if not 0 <= d < qj:
-                raise SpecError(f"digit E_{j} = {d} outside [0, {qj})")
-            memo.append(d)
+        """Extend the memo to n digits (n > len(memo)) through the rule.
+        A digit out of range raises SpecError with the digits before it
+        in the memo."""
+        rule, start = self._rule, len(self._memo)
+        qs = self.base.entries(start, n)
+        for lo in range(start, n, CHUNK):
+            run = []
+            add = run.append
+            try:
+                # range first: zip stops there without taking another entry
+                for j, qj in zip(range(lo + 1, min(lo + CHUNK, n) + 1), qs):
+                    d = rule(j)
+                    if not 0 <= d < qj:
+                        raise SpecError(f"digit E_{j} = {d} outside [0, {qj})")
+                    add(d)
+            finally:
+                self._append(run)
 
     def digit(self, n: int) -> int:
         if n < 1:
@@ -78,7 +156,8 @@ class DigitStream:
             raise SpecError(f"digit index {lo + 1} < 1")
         if hi > len(self._memo):
             self._fill(hi)
-        return self._memo[lo:hi]
+        span = self._memo[lo:hi]
+        return span if type(span) is list else span.tolist()
 
     def __repr__(self):
         shown = ",".join(str(d) for d in self._memo[:8])
@@ -96,12 +175,14 @@ class _HeadStream(DigitStream):
         self._max_tail = max_tail
 
     def _fill(self, n: int) -> None:
-        memo = self._memo
-        memo += self._head[len(memo):n]
-        if self._max_tail:
-            memo += [qj - 1 for qj in self.base.entries(len(memo), n)]
-        else:
-            memo += [0] * (n - len(memo))
+        self._append(self._head[len(self._memo):n])
+        start = len(self._memo)
+        if not self._max_tail:
+            _append_zeros(self._memo, n - start)
+            return
+        qs = self.base.entries(start, n)
+        for _ in range(start, n, CHUNK):
+            self._append([qj - 1 for qj in islice(qs, CHUNK)])
 
 
 def from_digits(base: BasicSeq, digits: list[int], e0: int = 0) -> DigitStream:
@@ -143,24 +224,30 @@ class RationalDigitStream(DigitStream):
                          label=f"expand({x})")
         self.value = x
         self._den = x.denominator
-        self._rems: list[int] = [x.numerator - e0 * x.denominator]
-        if self._rems[0] == 0:
+        r = x.numerator - e0 * x.denominator
+        self._rems = _new_memo(self._den - 1)
+        self._rems.append(r)
+        if r == 0:
             self.canonicity = TERMINATING
             self.last_nonzero = 0
 
     def _fill(self, n: int) -> None:
-        memo, rems, b = self._memo, self._rems, self._den
-        start = len(memo)
-        r = rems[-1]
-        add_digit, add_rem = memo.append, rems.append
-        for qj in self.base.entries(start, n):
-            d, r = divmod(r * qj, b)
-            add_digit(d)
-            add_rem(r)
+        b, start = self._den, len(self._memo)
+        r = self._rems[-1]
+        qs = self.base.entries(start, n)
+        for _ in range(start, n, CHUNK):
+            digits, rems = [], []
+            add_digit, add_rem = digits.append, rems.append
+            for qj in islice(qs, CHUNK):
+                d, r = divmod(r * qj, b)
+                add_digit(d)
+                add_rem(r)
+            self._append(digits)
+            self._rems = _append_run(self._rems, rems)
         if r == 0 and self.last_nonzero is None:
             # a zero remainder stays zero, and the digit that first reaches
             # it is nonzero (r_{t-1} q_t = E_t b with r_{t-1} > 0)
-            self.last_nonzero = rems.index(0, start + 1)
+            self.last_nonzero = self._rems.index(0, start + 1)
             self.canonicity = TERMINATING
 
     def remainder(self, n: int) -> Fraction:

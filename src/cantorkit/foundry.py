@@ -241,7 +241,7 @@ class _QnexStream(DigitStream):
         self._run = (1, 0, [])     # (first, last index, block) of a run
 
     def _fill(self, n: int) -> None:
-        self._memo += self._digits_from(len(self._memo) + 1, n)
+        self._append(self._digits_from(len(self._memo) + 1, n))
 
     def _digits_from(self, g: int, n: int) -> list[int]:
         """Digits g..n, keeping the last run located for the next call."""

@@ -412,14 +412,20 @@ def rationality_report(p_seq: BasicSeq, q_seq: BasicSeq, horizon: int = 2000,
         pattern = "mixed"
     qe = q_seq.eventual_period()
     scan = (qe[0] + qe[1]) if qe is not None else div_horizon
-    div: dict[int, Optional[int]] = {}
-    for m in range(2, m_bound + 1):
-        found = None
-        for n in range(1, min(scan, div_horizon) + 1):
-            if q_seq.q(n) % m == 0:
-                found = n
-                break
-        div[m] = found
+    # one pass for every m: m | q_n iff m | gcd(q_n, L) with L = lcm of the
+    # m, and a gcd seen before records no new first index
+    div: dict[int, Optional[int]] = dict.fromkeys(range(2, m_bound + 1))
+    todo, seen = set(div), set()
+    whole = math.lcm(*div)
+    for n, r in enumerate(q_seq.residues(0, min(scan, div_horizon), whole), 1):
+        if not todo:
+            break
+        g = math.gcd(r, whole)
+        if g not in seen:
+            seen.add(g)
+            for m in [m for m in todo if g % m == 0]:
+                div[m] = n
+                todo.remove(m)
     conv = _certify_ratio_sum(p_seq, q_seq, horizon)
     verdict = {True: "full", False: "not_full", None: "unknown"}[conv]
     lo = dim_ratio(lambda j: max(p_seq.q(j) - q_seq.q(j), 1), p_seq.q, horizon)

@@ -298,8 +298,8 @@ class _GoldenStream(DigitStream):
     def _fill(self, n: int) -> None:
         start, bits, g = len(self._memo), self._bits, self._g
         mask = (1 << bits) - 1     # j g mod one
-        self._memo += [(j * g & mask) * q >> bits for j, q in
-                       enumerate(self.base.entries(start, n), start + 1)]
+        self._append([(j * g & mask) * q >> bits for j, q in
+                      enumerate(self.base.entries(start, n), start + 1)])
 
 
 def golden_ratio_stream(q_seq: BasicSeq, precision_bits: int = 256) -> DigitStream:

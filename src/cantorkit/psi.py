@@ -17,8 +17,10 @@ Fraction is built at the end.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .seqcore import (BasicSeq, Formula, HypothesisError, SpecError,
@@ -27,23 +29,49 @@ from .digitstream import (DigitStream, Enclosure, TERMINATING, UNKNOWN,
                           expand_rational, detect_max_tail, horner)
 
 
+CLAMP_PERIOD = 64     # the longest target period the byte clamp serves
+
+
+@lru_cache(maxsize=None)
+def _clamp_table(q: int) -> bytes:
+    """The byte table d -> min(d, q - 1), for 2 <= q <= 256."""
+    return bytes(range(q)) + bytes([q - 1]) * (256 - q)
+
+
+def _is_bytes(memo) -> bool:
+    return type(memo) is array and memo.typecode == "B"
+
+
 class _ImageStream(DigitStream):
-    """The digits min(E_n, q_n - 1) of a source stream, over q_seq."""
+    """The digits min(E_n, q_n - 1) of a source stream, over q_seq.
+
+    Over a target periodic from q_1 with period L <= CLAMP_PERIOD, byte
+    memos are clamped by one `bytes.translate` per residue class mod L.
+    """
 
     def __init__(self, stream: DigitStream, q_seq: BasicSeq):
         super().__init__(q_seq, None, e0=stream.e0, canonicity=UNKNOWN,
                          label="psi")
         self._source = stream
+        period = q_seq.eventual_period()
+        self._period = period[1] if period is not None and period[0] == 0 \
+            and period[1] <= CLAMP_PERIOD else None
 
     def _fill(self, n: int) -> None:
         self._source.digit(n)        # fills the source's memo through n
-        lo = len(self._memo)
+        lo, src, L = len(self._memo), self._source._memo, self._period
+        if L is not None and _is_bytes(src) and _is_bytes(self._memo):
+            seg, out = src[lo:n].tobytes(), bytearray(n - lo)
+            for i, q in enumerate(self.base.entries(lo, lo + L)):
+                out[i::L] = seg[i::L].translate(_clamp_table(min(q, 256)))
+            self._memo.frombytes(out)
+            return
         # min(E_j, q_j - 1) by one comparison (a call to min costs several
         # times more), reading the source memo in place: islice would step
         # from index 0 on every fill
-        self._memo += [d if d < q else q - 1 for d, q in
-                       zip(map(self._source._memo.__getitem__, range(lo, n)),
-                           self.base.entries(lo, n))]
+        self._append([d if d < q else q - 1 for d, q in
+                      zip(map(src.__getitem__, range(lo, n)),
+                          self.base.entries(lo, n))])
 
 
 def psi_map(stream: DigitStream, q_seq: BasicSeq,
@@ -461,6 +489,8 @@ def bv_check(p_seq: BasicSeq, q_seq: BasicSeq, horizon: int = 10000) -> BVReport
     not_proven with the partial sums reported.
     """
     from .seqcore import birkhoff_report
+    if horizon < 1:
+        raise SpecError(f"horizon {horizon} < 1")
     rep = birkhoff_report(p_seq, q_seq, horizon)
     partial = rep.bv_partial[-1]
     pmax, qmax = p_seq.upper_bound(), q_seq.upper_bound()

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -51,6 +51,10 @@ class BasicSeq:
     def _entries(self, lo: int, hi: int) -> Iterator[int]:
         """entries(lo, hi) for 0 <= lo < hi."""
         return map(self.q, range(lo + 1, hi + 1))
+
+    def residues(self, lo: int, hi: int, m: int) -> Iterator[int]:
+        """q_{lo+1} mod m, ..., q_hi mod m, lazily (entries(lo, hi) reduced)."""
+        return (q % m for q in self.entries(lo, hi))
 
     def eventual_period(self) -> Optional[tuple[int, int]]:
         """(start, period) with q_n = q_{n+period} for all n > start, when
@@ -145,6 +149,13 @@ class Geometric(BasicSeq):
         if n < 1:
             raise SpecError(f"index {n} < 1")
         return _check_entry(self.a * self.r ** n, n)
+
+    def residues(self, lo: int, hi: int, m: int) -> Iterator[int]:
+        # stepped mod m: the entries themselves grow by log r bits a step
+        if hi <= lo or lo < 0:
+            return super().residues(lo, hi, m)    # empty, or the index error
+        return accumulate(repeat(self.r % m, hi - lo - 1),
+                          lambda x, r: x * r % m, initial=self.q(lo + 1) % m)
 
     def describe(self) -> dict:
         return {"kind": "geometric", "a": self.a, "r": self.r}

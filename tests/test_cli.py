@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cantorkit import cli, foundry, psi
 
@@ -180,13 +181,21 @@ def test_bad_entry_exit_code(capsys):
     ["construct", "mff", "--stage", "0", "--n", "3"],
     ["variation", "--p", C3, "--q", C2, "--t", "-1"],
     ["normality", "--base", C3, "--x", "1/2", "--k", "-1"],
+    ["digits", "--base", C3, "--source", "iid:x"],
+    ["digits", "--base", C3, "--source", "iid:1,2"],
+    ["holder", "--p", C3, "--q", C2, "--alpha", "x"],
+    ["monotone-witness", "--p", C3, "--q", C2, "--prefix", "1,a"],
+    ["bv", "--p", C3, "--q", C2, "--horizon", "0"],
+    ["dimension", "level", "--p", C3, "--q", C2, "--w", "0,x"],
 ], ids=["constant-value-not-int", "periodic-values-not-list",
         "dimension-range-without-p", "construct-nnotdn-without-base",
         "qnex-b_of", "qnex-w_of", "rdn-l_of", "qnex-first-stage-str",
         "qnex-first-stage-negative", "qnex-first-stage-0",
         "qnex-first-stage-33", "qnex-first-stage-1e6", "rdn-first-stage-1",
         "construct-rdn-stage-negative", "construct-mff-stage-0",
-        "variation-t-negative", "normality-k-negative"])
+        "variation-t-negative", "normality-k-negative", "iid-source-not-int",
+        "iid-source-two-fields", "holder-alpha-not-rational",
+        "witness-prefix-not-int", "bv-horizon-0", "dimension-level-w-not-int"])
 def test_malformed_input_exits_2_without_traceback(args):
     proc = _subprocess(args, 60)
     assert proc.returncode == 2
@@ -337,3 +346,84 @@ def test_holder_report_against_term_by_term_logs(capsys, p, q, alpha, verdict):
     assert (doc["sup1_at"], tuple(doc["sup2_at"])) == (at1, at2)
     assert doc["hypothesis_ok"] is hyp
     assert doc["verdict"] == verdict
+
+
+# -- fuzz: drawn specs, subcommands and small sizes, in process --------------
+
+_entry = st.one_of(st.integers(-1, 9), st.sampled_from([300, 2 ** 33, "3", 2.5, None]))
+_spec = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, _entry),
+    st.builds(lambda vs: {"kind": "periodic", "values": vs},
+              st.one_of(st.lists(_entry, max_size=3), _entry)),
+    st.builds(lambda a, d: {"kind": "affine", "a": a, "d": d},
+              _entry, st.integers(-1, 3)),
+    st.builds(lambda a, r: {"kind": "geometric", "a": a, "r": r},
+              st.integers(-1, 3), st.integers(-1, 3)),
+    st.builds(lambda h, v: {"kind": "explicit", "head": h,
+                            "tail": {"kind": "constant", "value": v}},
+              st.lists(_entry, max_size=3), _entry),
+    st.builds(lambda lo, hi, seed: {"kind": "iid", "lo": lo, "hi": hi, "seed": seed},
+              st.integers(0, 5), st.integers(0, 9), st.integers(0, 9)),
+    st.sampled_from([{"kind": "qnex"}, {"kind": "qnex", "first_stage": 2},
+                     {"kind": "rdn", "first_stage": 2}, {"kind": "nonsense"},
+                     {"value": 3}, [3]]),
+).map(json.dumps) | st.just("{not json")
+_x = st.sampled_from(["0", "1", "1/2", "7/8", "3/7", "5/3", "-1/3", "abc", "1/0"])
+_source = st.one_of(
+    _x.map(lambda x: [f"--x={x}"]),
+    st.sampled_from(["golden", "iid:0,3,1", "iid:3,0,1", "iid:x", "qnex",
+                     "bogus"]).map(lambda s: [f"--source={s}"]),
+)
+
+
+def _opt(name, strategy):
+    # one token, so that a value such as -1/3 is never read as an option
+    return strategy.map(lambda v: [f"--{name}={v}"])
+
+
+def _cmd(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+
+_pq = (_opt("p", _spec), _opt("q", _spec))
+_small = st.integers(-1, 40)
+_horizon = st.integers(0, 64)
+_command = st.one_of(
+    _cmd("digits", _opt("base", _spec), _source, _opt("n", _small)),
+    _cmd("psi-eval", *_pq, _opt("x", _x), _opt("horizon", _horizon)),
+    _cmd("normality", _opt("base", _spec), _source, _opt("k", st.integers(-1, 2)),
+         _opt("alphabet", st.integers(0, 3)), _opt("n", _small)),
+    _cmd("discrepancy", _opt("base", _spec), _source,
+         _opt("mode", st.sampled_from(["digit-ratio", "orbit"])),
+         _opt("n", _small), _opt("orbit-depth", st.integers(0, 12))),
+    st.tuples(st.sampled_from(["qnex", "rdn", "mff", "nnotdn", "rnnotn",
+                               "dnnotrn"]),
+              st.one_of(st.just([]), _opt("base", _spec)), _source,
+              _opt("n", st.integers(-1, 30)), _opt("stage", st.integers(-1, 5))
+              ).map(lambda t: ["construct", t[0], *t[1], *t[2], *t[3], *t[4]]),
+    st.tuples(st.sampled_from(["wegmann", "range", "level", "levelsum",
+                               "multifractal", "zpq"]),
+              *_pq, _opt("sizes", _spec), _opt("w", st.sampled_from(["", "0,1", "x"])),
+              _opt("k", st.integers(-1, 3)), _opt("horizon", _horizon)
+              ).map(lambda t: ["dimension", t[0]] + [a for p in t[1:] for a in p]),
+    _cmd("rationality", *_pq, _opt("horizon", _horizon)),
+    _cmd("variation", *_pq, _opt("t", st.integers(-1, 8))),
+    _cmd("bv", *_pq, _opt("horizon", _horizon)),
+    _cmd("holder", *_pq, _opt("alpha", st.sampled_from(["1/2", "0", "2", "x"])),
+         _opt("horizon", _horizon)),
+    _cmd("monotone-witness", *_pq, _opt("prefix", st.sampled_from(["", "1", "0,2"])),
+         _opt("horizon", _horizon)),
+    _cmd("continuity", *_pq, _opt("x", _x), _opt("horizon", _horizon)),
+    _cmd("sample", _opt("lo", st.integers(-1, 4)), _opt("hi", st.integers(-1, 9)),
+         _opt("seed", st.integers(0, 9)), _opt("n", _small)),
+    _cmd("birkhoff", *_pq, _opt("n", _small)),
+)
+
+
+@given(args=_command)
+@settings(max_examples=120, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_commands_exit_with_a_documented_code(capsys, args):
+    rc, _ = run(capsys, args)
+    assert rc in (cli.EXIT_OK, cli.EXIT_SPEC, cli.EXIT_HYPOTHESIS,
+                  cli.EXIT_UNDECIDED)

@@ -1,7 +1,9 @@
 """Tests for digit streams, rational expansion, and canonicalization."""
 
+import gc
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -301,3 +303,169 @@ def test_dual_form_has_max_tail_and_same_value(base, head, e0):
     assert dual.digits(t + 20)[t:] == [base.q(j) - 1 for j in range(t + 1, t + 21)]
     value = e0 + _prefix_sum(s, 0, len(head))[0]
     assert stream_value(dual) == stream_value(s) == Enclosure(value, value)
+
+
+# -- memo type codes: widening, bulk fills and the byte clamp ----------------
+
+def _int_expand(num, den, qs):
+    """Digits and remainder numerators of num/den over the entries qs, one
+    integer multiply-and-floor step per digit."""
+    r = num % den
+    digits, rems = [], [r]
+    for q in qs:
+        digits.append(r * q // den)
+        r = r * q % den
+        rems.append(r)
+    return digits, rems
+
+
+def _itemsize(top):
+    """Bytes a memo needs per int in [0, top]; None for a list."""
+    for size in (1, 4, 8):
+        if top < 1 << 8 * size:
+            return size
+    return None
+
+
+def _memo_size(memo):
+    return memo.itemsize if hasattr(memo, "itemsize") else None
+
+
+_EDGES = [2, 255, 256, 257, 65535, 65536, 65537, 2 ** 32 - 1, 2 ** 32,
+          2 ** 32 + 1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1]
+_edge = st.sampled_from(_EDGES)
+wide_base = st.one_of(
+    _edge.map(Constant),
+    st.lists(_edge, min_size=1, max_size=4).map(Periodic),
+    st.tuples(st.lists(_edge, max_size=3), _edge).map(
+        lambda t: Explicit(t[0], Constant(t[1]))),
+    # no declared bound: the memo starts at 'B' and widens mid-stream
+    st.tuples(st.sampled_from([2, 240, 65520, 2 ** 32 - 20, 2 ** 64 - 20]),
+              st.sampled_from([1, 3, 2 ** 20])).map(lambda t: Affine(*t)),
+    st.lists(_edge, min_size=1, max_size=4).map(
+        lambda v: Formula(lambda n: v[n % len(v)])),
+)
+_den = st.one_of(st.integers(1, 300), st.sampled_from(_EDGES),
+                 st.integers(2 ** 63, 2 ** 65))
+
+
+@given(base=wide_base, den=_den, data=st.data(),
+       reads=st.lists(st.integers(1, 60), max_size=6))
+@settings(max_examples=200)
+def test_wide_digits_and_remainders_match_integer_multiply_and_floor(
+        base, den, data, reads):
+    num = data.draw(st.integers(0, 3 * den))
+    n = 60
+    digits, rems = _int_expand(num, den, [base.q(j) for j in range(1, n + 1)])
+    s = expand_rational(Fraction(num, den), base)
+    for k in reads:                      # fills in random order
+        assert s.digit(k) == digits[k - 1]
+    assert s.digits(n) == digits
+    assert [s.remainder(k) for k in range(n + 1)] == \
+        [Fraction(r, den) for r in rems]
+    # the narrowest code for the declared bound, or for the digits seen
+    assert _memo_size(s._rems) == _itemsize(Fraction(num, den).denominator - 1)
+    top = base.upper_bound()
+    assert _memo_size(s._memo) == _itemsize(max(digits) if top is None else top - 1)
+
+
+@pytest.mark.parametrize("a, sizes", [
+    (250, [1, 4, 4]),                  # crosses 255/256 at E_6
+    (65530, [4, 4, 4]),                # crosses 65535/65536 at E_6
+    (2 ** 32 - 6, [4, 8, 8]),          # crosses 2^32 at E_6
+    (2 ** 64 - 6, [8, None, None]),    # crosses 2^64 at E_6: a list
+])
+def test_memo_widens_at_the_first_run_that_does_not_fit(a, sizes):
+    base = Affine(a, 1)                # no declared bound: starts at 'B'
+    s = from_rule(base, lambda j: a + j - 1)
+    for n, size in zip([4, 9, 30], sizes):
+        assert s.digits(n) == [a + j - 1 for j in range(1, n + 1)]
+        assert _memo_size(s._memo) == size
+
+
+@given(base=wide_base, bad=st.integers(1, 50), raises=st.booleans(),
+       reads=st.lists(st.integers(1, 60), max_size=4))
+@settings(max_examples=100)
+def test_a_bad_digit_mid_fill_leaves_the_digits_before_it(base, bad, raises, reads):
+    def rule(j):
+        if j == bad:
+            if raises:
+                raise SpecError(f"no digit at {j}")
+            return base.q(j)             # one past the largest digit
+        return base.q(j) - 1 - j % 2
+
+    want = [base.q(j) - 1 - j % 2 for j in range(1, bad)]
+    s = from_rule(base, rule)
+    for k in reads:
+        if k < bad:
+            assert s.digit(k) == want[k - 1]
+    with pytest.raises(SpecError):
+        s.digits(60)
+    assert list(s._memo) == want
+    assert s.digits(bad - 1) == want
+
+
+def _translate_routes(image):
+    src = image._source._memo
+    return (image._period is not None and src.typecode == "B"
+            and image._memo.typecode == "B")
+
+
+_clamp_target = st.one_of(
+    st.integers(2, 12).map(Constant),
+    st.lists(st.integers(2, 12), min_size=1, max_size=7).map(Periodic),
+)
+
+
+@given(num=st.integers(0, 10 ** 6), den=st.integers(1, 10 ** 6),
+       p=st.integers(2, 12), target=_clamp_target, first=st.integers(0, 40))
+@settings(max_examples=150)
+def test_byte_clamp_matches_min_of_digit_and_top(num, den, p, target, first):
+    n = 200
+    src, _ = _int_expand(num, den, [p] * n)
+    want = [min(d, target.q(j) - 1) for j, d in enumerate(src, 1)]
+    image = psi_map(expand_rational(Fraction(num, den), Constant(p)), target)
+    assert _translate_routes(image)
+    assert image.digits(first) == want[:first]   # later fills start at `first`
+    assert image.digit(first + 7) == want[first + 6]
+    assert image.digits(n) == want
+
+
+@given(num=st.integers(0, 10 ** 6), den=st.integers(1, 10 ** 6),
+       p=st.sampled_from([7, 300, 70000]),
+       target=st.one_of(st.tuples(st.integers(2, 4), st.integers(1, 3)).map(
+                            lambda t: Affine(*t)),
+                        st.lists(st.sampled_from([3, 5, 260, 2 ** 33]),
+                                 min_size=1, max_size=3).map(Periodic)),
+       first=st.integers(0, 40))
+@settings(max_examples=100)
+def test_clamp_fallback_for_affine_targets_and_wide_memos(num, den, p, target,
+                                                          first):
+    n = 200
+    src, _ = _int_expand(num, den, [p] * n)
+    want = [min(d, target.q(j) - 1) for j, d in enumerate(src, 1)]
+    image = psi_map(expand_rational(Fraction(num, den), Constant(p)), target)
+    assert image.digits(first) == want[:first]
+    assert image.digits(n) == want
+    if p > 256 or isinstance(target, Affine) or target.upper_bound() > 256:
+        assert not _translate_routes(image)
+
+
+def test_c01_memos_hold_under_8_mb():
+    # 7/8 over base 3, its psi image over (3, 2) and canonical form at 10^6
+    # digits: four byte memos of about 1 MB each (as lists they held 31 MB)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n = 10 ** 6
+        stream = expand_rational(Fraction(7, 8), Constant(3))
+        stream.digit(n)
+        image = psi_map(stream, Periodic([3, 2]), canonicity_window=64)
+        image.digit(n)
+        canon = canonicalize(image)
+        canon.digit(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert canon is not image and canon.e0 == 1
+    assert held < 8 * 10 ** 6

@@ -1,6 +1,7 @@
 """Tests for dimension estimates, level sets, and rationality reports."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from cantorkit.fracdim import (
     wegmann_report,
     zpq_dim_bounds,
 )
-from cantorkit.seqcore import Constant, Explicit, Formula, Geometric, Periodic
+from cantorkit.seqcore import (IID, Affine, Constant, Explicit, Formula,
+                               Geometric, Periodic)
 
 
 def test_dim_ratio_constant():
@@ -111,3 +113,31 @@ def test_rationality_sign_patterns():
     assert rationality_report(Constant(4), Constant(4), horizon=200).sign_pattern == "equal"
     rep = rationality_report(Periodic([2, 5]), Periodic([5, 2]), horizon=200)
     assert rep.sign_pattern == "mixed"
+
+
+@given(q=st.one_of(st.integers(2, 60).map(Constant),
+                   st.lists(st.integers(2, 60), min_size=1, max_size=4).map(Periodic),
+                   st.builds(Affine, st.integers(2, 9), st.integers(0, 7)),
+                   st.builds(Geometric, st.integers(2, 6), st.integers(1, 12)),
+                   st.builds(IID, st.integers(2, 5), st.integers(5, 90),
+                             st.integers(0, 99))),
+       m_bound=st.integers(0, 60), div_horizon=st.integers(1, 150))
+@settings(max_examples=100, deadline=None)
+def test_rationality_divisibility_is_the_first_index_per_m(q, m_bound, div_horizon):
+    rep = rationality_report(Constant(3), q, horizon=5, m_bound=m_bound,
+                             div_horizon=div_horizon)
+    period = q.eventual_period()
+    scan = min(sum(period) if period else div_horizon, div_horizon)
+    want = {m: next((n for n in range(1, scan + 1) if q.q(n) % m == 0), None)
+            for m in range(2, m_bound + 1)}
+    assert rep.divisibility == want
+    assert list(rep.divisibility) == list(want)
+
+
+def test_rationality_scan_over_a_geometric_base_is_quick():
+    # 10^5 entries up to 3^100001: stepped residues take well under a second,
+    # a power of r per index and m took minutes
+    start = time.perf_counter()
+    rep = rationality_report(Constant(3), Geometric(3, 3), horizon=24)
+    assert time.perf_counter() - start < 5.0
+    assert rep.divisibility[9] == 1 and rep.divisibility[2] is None

@@ -228,12 +228,15 @@ def _entry_seqs():
         concatenated(inner)), max_leaves=4)
 
 
-@given(seq=_entry_seqs(), lo=st.integers(0, 60), hi=st.integers(-3, 90))
+@given(seq=_entry_seqs(), lo=st.integers(0, 60), hi=st.integers(-3, 90),
+       m=st.integers(1, 10 ** 6))
 @settings(max_examples=200, deadline=None)
-def test_entries_match_q_per_index(seq, lo, hi):
+def test_entries_match_q_per_index(seq, lo, hi, m):
     run = seq.entries(lo, hi)
     assert iter(run) is run                  # an iterator, not a list
     assert list(run) == [seq.q(j) for j in range(lo + 1, hi + 1)]
+    assert list(seq.residues(lo, hi, m)) == \
+        [seq.q(j) % m for j in range(lo + 1, hi + 1)]
     assert seq.prefix(max(hi, 0)) == [seq.q(j) for j in range(1, hi + 1)]
 
 
@@ -242,6 +245,8 @@ def test_entries_match_q_per_index(seq, lo, hi):
 def test_entries_reject_an_index_below_1(seq, lo, hi):
     with pytest.raises(SpecError):
         seq.entries(lo, hi)
+    with pytest.raises(SpecError):
+        seq.residues(lo, hi, 7)
 
 
 def _staged(name):
