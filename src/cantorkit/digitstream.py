@@ -26,7 +26,15 @@ appends each run in bulk through `_append_run` (`frombytes` for 'B',
 the memo once, to a list when a value reaches 2^64.  Long fills append
 chunks of `CHUNK` digits, so no fill holds a second full-length copy of
 its digits.  Reads in place (`memo[i]`, `map(memo.__getitem__, ...)`)
-work on either kind; `digits()` and `_span` return lists.
+work on either kind; `digits()` and `_span` return lists, `_slice` the
+memo's own kind.
+
+A rational expansion over a base with an `eventual_period()` repeats once
+its remainder state does.  Its first fill past `CHUNK` digits scans the
+remainders made so far, once, for an earlier copy of the last one (at C
+speed, `index`); when there is one, that fill and every later one copy
+whole periods of digits and remainders, at most `CHUNK` at a time, in
+place of the divmod loop.  Fills up to `CHUNK` digits never scan.
 """
 
 from __future__ import annotations
@@ -152,12 +160,16 @@ class DigitStream:
 
     def _span(self, lo: int, hi: int) -> list[int]:
         """Digits E_{lo+1}..E_hi, without copying the prefix before them."""
+        span = self._slice(lo, hi)
+        return span if type(span) is list else span.tolist()
+
+    def _slice(self, lo: int, hi: int) -> Memo:
+        """_span as a slice of the memo: an array or a list."""
         if lo < 0:
             raise SpecError(f"digit index {lo + 1} < 1")
         if hi > len(self._memo):
             self._fill(hi)
-        span = self._memo[lo:hi]
-        return span if type(span) is list else span.tolist()
+        return self._memo[lo:hi]
 
     def __repr__(self):
         shown = ",".join(str(d) for d in self._memo[:8])
@@ -230,8 +242,22 @@ class RationalDigitStream(DigitStream):
         if r == 0:
             self.canonicity = TERMINATING
             self.last_nonzero = 0
+        self._period = base.eventual_period()   # None once scanned
+        self._cycle = None      # (i, p) from the scan, when it found one
 
     def _fill(self, n: int) -> None:
+        if n > CHUNK and self._period is not None:
+            if len(self._memo) < CHUNK:
+                self._step(CHUNK)
+            self._cycle = self._find_cycle(*self._period)
+            self._period = None
+        if self._cycle is not None:
+            self._copy(n)
+        else:
+            self._step(n)
+
+    def _step(self, n: int) -> None:
+        """Extend the memo to n digits, one divmod a digit."""
         b, start = self._den, len(self._memo)
         r = self._rems[-1]
         qs = self.base.entries(start, n)
@@ -249,6 +275,38 @@ class RationalDigitStream(DigitStream):
             # it is nonzero (r_{t-1} q_t = E_t b with r_{t-1} > 0)
             self.last_nonzero = self._rems.index(0, start + 1)
             self.canonicity = TERMINATING
+
+    def _find_cycle(self, s: int, L: int) -> Optional[tuple[int, int]]:
+        """(i, p) with r_{j+p} = r_j and E_{j+1+p} = E_{j+1} for every
+        j >= i, or None.
+
+        The base repeats with period L past index s, so the remainder r_j
+        and j mod L decide everything after index j >= s.  An earlier copy
+        r_i of the last remainder r_m, with i >= s and m - i a multiple of
+        L, is the same state: the expansion repeats with period p = m - i
+        from i on.  The remainders made so far are scanned once, at C
+        speed; p <= m, so no cycle longer than the memo is found.
+        """
+        rems, m = self._rems, len(self._memo)
+        r, i = rems[m], s - 1
+        try:
+            while True:
+                i = rems.index(r, i + 1, m)
+                if (m - i) % L == 0:
+                    return i, m - i
+        except ValueError:
+            return None
+
+    def _copy(self, n: int) -> None:
+        """Extend the memo and the remainders to n digits by copying the
+        cycle: w (a multiple of p, at most CHUNK) items from w back."""
+        i, p = self._cycle
+        while len(self._memo) < n:
+            m = len(self._memo)
+            w = min(m - i, CHUNK) // p * p
+            piece = min(n - m, w)
+            self._memo += self._memo[m - w:m - w + piece]
+            self._rems += self._rems[m + 1 - w:m + 1 - w + piece]
 
     def remainder(self, n: int) -> Fraction:
         """Exact tail sum_{j>n} E_j/(q_{n+1}..q_j), in [0, 1)."""

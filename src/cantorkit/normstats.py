@@ -5,13 +5,19 @@ N_{M,n}(B, x) counts occurrences of the digit block B at positions
 M <= j < M + n (block starting positions).  The natural normalizer for a
 length-k block over the base Q is the position weight
 Q_n^(k) = sum_{j<=n} 1/(q_j .. q_{j+k-1}).
+
+Block counts read the digit memo through one kernel, `_block_masks`: a
+block's positions are the set bits (one a byte) of an int, the AND of its
+digits' indicator ints, each shifted by the digit's place in the block;
+`int.bit_count()` counts them.  `count_blocks` counts one mask,
+`cumulative_block_counts` accumulates its bytes and `normality_report`
+counts each checkpoint's prefix of it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,38 +31,61 @@ def count_blocks(stream: DigitStream, block: Sequence[int], n: int,
                  start: int = 1) -> int:
     """Occurrences of `block` starting at positions start <= j < start + n."""
     block = tuple(int(b) for b in block)
-    k = len(block)
-    if k < 1:
+    if not block:
         raise SpecError("block must be nonempty")
     if n < 1:
         return 0
     if start < 1:
         raise SpecError(f"digit index {start} < 1")
-    digits = stream.digits(start + n + k - 2)
-    if k == 1:
-        return digits[start - 1:start - 1 + n].count(block[0])
-    return sum(map(block.__eq__, _windows(digits, k, start - 1, start - 1 + n)))
-
-
-def _windows(digits: list[int], k: int, lo: int, hi: int):
-    """The length-k blocks of digits starting at 0-based lo..hi-1, as
-    tuples zipped from k shifted slices."""
-    return zip(*(digits[lo + i:hi + i] for i in range(k)))
+    (mask,) = _block_masks(stream, [block], len(block), start - 1, n)
+    return mask.bit_count()
 
 
 def cumulative_block_counts(stream: DigitStream, block: Sequence[int],
                             n: int, start: int = 1) -> list[int]:
     """count_blocks for every prefix length 1..n, in one pass."""
-    block = [int(b) for b in block]
-    k = len(block)
-    out = []
-    c = 0
-    digits = stream.digits(start + n + k - 2)
-    for j in range(start, start + n):
-        if digits[j - 1:j - 1 + k] == block:
-            c += 1
-        out.append(c)
-    return out
+    block = tuple(int(b) for b in block)
+    if n < 1:
+        return []
+    if start < 1:
+        raise SpecError(f"digit index {start} < 1")
+    (mask,) = _block_masks(stream, [block], len(block), start - 1, n)
+    return list(itertools.accumulate(mask.to_bytes(n, "little")))
+
+
+# _ONE[v] translates the byte v to 1 and every other byte to 0
+_ONE = [bytes(v) + b"\x01" + bytes(255 - v) for v in range(256)]
+
+
+def _block_masks(stream: DigitStream, blocks: Sequence[tuple[int, ...]],
+                 k: int, lo: int, n: int) -> list[int]:
+    """For each block (of length k), an int with bit 8i set where the
+    block starts at the 0-based position lo + i, 0 <= i < n; so its
+    bit_count() counts the block.
+
+    Each digit value v that some block holds gets one indicator int over
+    positions lo..lo+n+k-2 (bit 8i set where E_{lo+i+1} = v): a
+    bytes.translate of a byte memo, or one byte per digit of a wider or
+    list memo.  A block ANDs its digits' indicators, the t-th shifted
+    down by t bytes.
+    """
+    seg = stream._slice(lo, lo + n + k - 1)
+    values = {v for block in blocks for v in block}
+    if type(seg) is not list and seg.typecode == "B":
+        raw = seg.tobytes()
+        ind = {v: int.from_bytes(raw.translate(_ONE[v]), "little")
+               if 0 <= v < 256 else 0 for v in values}
+    else:
+        ind = {v: int.from_bytes(bytes(map(v.__eq__, seg)), "little")
+               for v in values}
+    full = int.from_bytes(b"\x01" * n, "little")   # every position
+    masks = []
+    for block in blocks:
+        mask = full
+        for t, v in enumerate(block):
+            mask &= ind[v] >> 8 * t
+        masks.append(mask)
+    return masks
 
 
 def block_weight(q_seq: BasicSeq, k: int, n: int, exact_limit: int = 20000):
@@ -134,18 +163,10 @@ def normality_report(stream: DigitStream, k: int, digit_alphabet: int, n: int,
     if checkpoints and (checkpoints[0] < 1 or checkpoints[-1] > n):
         raise SpecError("checkpoints must lie in [1, n]")
     blocks = list(itertools.product(range(digit_alphabet), repeat=k))
-    digits = stream.digits(n + k - 1)
-    counts = {b: [] for b in blocks}
-    running = Counter()
-    prev = 0
-    for c in checkpoints:
-        if k:
-            running.update(_windows(digits, k, prev, c))
-        else:
-            running[()] = c     # every position starts the empty block
-        for b in blocks:
-            counts[b].append(running[b])
-        prev = c
+    masks = _block_masks(stream, blocks, k, 0, n)
+    prefixes = [(1 << 8 * c) - 1 for c in checkpoints]
+    counts = {b: [(mask & p).bit_count() for p in prefixes]
+              for b, mask in zip(blocks, masks)}
     weights, exact_all = _checkpoint_weights(stream.base, k, checkpoints)
     ratios = {b: [cnt / float(w) if w else math.inf
                   for cnt, w in zip(counts[b], weights)] for b in blocks}

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, cycle, islice, repeat
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 
@@ -149,6 +150,12 @@ class Geometric(BasicSeq):
         if n < 1:
             raise SpecError(f"index {n} < 1")
         return _check_entry(self.a * self.r ** n, n)
+
+    def _entries(self, lo: int, hi: int) -> Iterator[int]:
+        # one multiplication a step: a * r**n afresh for each index would
+        # cost O(n^2) bit operations over a run
+        return accumulate(repeat(self.r, hi - lo - 1), mul,
+                          initial=self.q(lo + 1))
 
     def residues(self, lo: int, hi: int, m: int) -> Iterator[int]:
         # stepped mod m: the entries themselves grow by log r bits a step
@@ -320,13 +327,29 @@ class IID(BasicSeq):
     def q(self, n: int) -> int:
         if n < 1:
             raise SpecError(f"index {n} < 1")
-        self._draw(n)
+        if n > len(self._memo):
+            # reads one index at a time still draw in runs, at most twice
+            # what was asked
+            self._draw(max(n, 2 * len(self._memo)))
         return self._memo[n - 1]
 
     def _draw(self, n: int) -> None:
-        """Extend the memo to at least n draws."""
-        while len(self._memo) < n:
-            self._memo.append(self._rng.randint(self.lo, self.hi))
+        """Extend the memo to n draws (none when it holds as many).
+
+        The rejection loop is randint's own (CPython's
+        _randbelow_with_getrandbits), run locally for the whole run, so
+        the draws equal random.Random(seed).randint(lo, hi) one by one.
+        """
+        width = self.hi - self.lo + 1
+        k, lo, bits = width.bit_length(), self.lo, self._rng.getrandbits
+        run = []
+        add = run.append
+        for _ in range(n - len(self._memo)):
+            r = bits(k)
+            while r >= width:
+                r = bits(k)
+            add(lo + r)
+        self._memo += run
 
     def _entries(self, lo: int, hi: int) -> Iterator[int]:
         self._draw(hi)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import cantorkit as ck
 from cantorkit.digitstream import (
     CANONICAL,
+    CHUNK,
     Enclosure,
     TERMINATING,
     canonicalize,
@@ -469,3 +470,58 @@ def test_c01_memos_hold_under_8_mb():
         tracemalloc.stop()
     assert canon is not image and canon.e0 == 1
     assert held < 8 * 10 ** 6
+
+
+# -- cycle copying: rational fills past CHUNK over eventually periodic bases --
+
+_repeating_base = st.one_of(
+    _small.map(Constant),
+    st.lists(_small, min_size=1, max_size=4).map(Periodic),
+    st.tuples(st.lists(_small, min_size=1, max_size=5),
+              st.lists(_small, min_size=1, max_size=3)).map(
+        lambda t: Explicit(t[0], Periodic(t[1]))),
+)
+# primes shared with the bases give remainder cycles a pre-period (and
+# terminating expansions at c = 1); every state cycle is shorter than CHUNK
+_cycle_den = st.builds(lambda c, e2, e3: c * 2 ** e2 * 3 ** e3,
+                       st.integers(1, 60), st.integers(0, 3), st.integers(0, 2))
+
+
+@given(base=_repeating_base, den=_cycle_den, data=st.data(),
+       reads=st.lists(st.integers(1, 2 * CHUNK + 300), max_size=4),
+       singles=st.integers(0, 30))
+@settings(max_examples=40, deadline=None)
+def test_copied_cycles_match_integer_multiply_and_floor(base, den, data, reads,
+                                                        singles):
+    num = data.draw(st.integers(0, 2 * den))
+    n = 2 * CHUNK + 300          # past the first copied period (p <= CHUNK)
+    # one-digit fills may run past n after a read near it
+    digits, rems = _int_expand(num, den, list(base.entries(0, n + singles)))
+    s = expand_rational(Fraction(num, den), base)
+    for k in reads:              # partial fills, in random order
+        assert s.digit(k) == digits[k - 1]
+    for k in range(len(s._memo) + 1, len(s._memo) + 1 + singles):
+        assert s.digit(k) == digits[k - 1]       # one-digit fills
+    assert s.digits(n) == digits[:n]
+    assert s._cycle is not None
+    for k in list(range(0, 40)) + list(range(2 * CHUNK - 40, n + 1)):
+        r = Fraction(rems[k], den)
+        assert s.remainder(k) == r
+        assert shift_T(s, k) == Enclosure(r, r)
+    if 0 in rems:
+        assert (s.canonicity, s.last_nonzero) == (TERMINATING, rems.index(0))
+    else:
+        assert (s.canonicity, s.last_nonzero) == (CANONICAL, None)
+
+
+@pytest.mark.parametrize("base", [Constant(3), Explicit([2, 5], Periodic([3]))])
+def test_cycles_longer_than_chunk_are_stepped(base):
+    # 3 is a primitive root mod the prime 65537: remainders repeat only
+    # after 65536 > CHUNK digits, so the one scan finds no copy
+    n = 2 * CHUNK + 100
+    digits, rems = _int_expand(1, 65537, list(base.entries(0, n)))
+    s = expand_rational(Fraction(1, 65537), base)
+    assert s.digits(n) == digits
+    assert s._cycle is None
+    assert [s.remainder(k) for k in range(CHUNK, n + 1, 97)] == \
+        [Fraction(r, 65537) for r in rems[CHUNK:n + 1:97]]

@@ -312,3 +312,52 @@ def test_normality_report_rejects_checkpoints_outside_1_to_n(cps):
 def test_normality_report_rejects_a_negative_block_length():
     with pytest.raises(SpecError):
         normality_report(expand_rational(Fraction(2, 7), Constant(3)), -1, 2, 30)
+
+
+# -- the mask kernel over every memo kind ------------------------------------
+
+# digits are min(palette value, q_j - 1): byte memos over Constant(3),
+# 'I' and 8-byte memos over wide constants, lists past 2^64, and affine
+# bases (no declared bound) whose byte memo widens mid-stream
+_PALETTE = [0, 1, 2, 255, 256, 300, 2 ** 32 + 5, 2 ** 64 + 3]
+_mask_base = st.sampled_from([Constant(3), Constant(1000), Constant(2 ** 33),
+                              Constant(2 ** 70), Affine(2, 1), Affine(250, 7)])
+_block_digit = st.sampled_from(_PALETTE + [-1, -256, 2 ** 70])
+_mask_block = st.one_of(st.lists(_block_digit, max_size=3),
+                        st.sampled_from([[1, 1], [0, 0, 0], [2, 2]]))
+
+
+def _naive_counts(digits, block, lo, n):
+    """Occurrences of block at 0-based positions lo..lo+i, i < n, by
+    comparing each window."""
+    k, out, c = len(block), [], 0
+    for j in range(lo, lo + n):
+        c += tuple(digits[j:j + k]) == tuple(block)
+        out.append(c)
+    return out
+
+
+@given(base=_mask_base, data=st.data(), block=_mask_block,
+       n=st.integers(0, 120), start=st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_mask_counts_match_window_counts_on_every_memo_kind(base, data, block,
+                                                            n, start):
+    picks = data.draw(st.lists(st.integers(0, 3), min_size=140, max_size=140))
+    palette = data.draw(st.permutations(_PALETTE))
+    digits = [min(palette[p], base.q(j) - 1) for j, p in enumerate(picks, 1)]
+    stream = from_rule(base, lambda j: digits[j - 1])
+    want = _naive_counts(digits, block, start - 1, n)
+    assert cumulative_block_counts(stream, block, n, start) == want
+    if block:
+        assert count_blocks(stream, block, n, start) == (want[-1] if n else 0)
+    else:
+        with pytest.raises(SpecError):
+            count_blocks(stream, block, n, start)
+    k = data.draw(st.integers(0, 3))
+    alphabet = data.draw(st.integers(0, 3))
+    cps = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=4)))) \
+        if n else []
+    rep = normality_report(stream, k, alphabet, n, cps or None)
+    for b in rep.blocks:
+        counts = _naive_counts(digits, b, 0, n)
+        assert rep.counts[b] == [counts[c - 1] for c in rep.checkpoints]

@@ -1,9 +1,10 @@
 """Tests for base-sequence specs and shared numeric helpers."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cantorkit as ck
 from cantorkit.seqcore import (
@@ -270,3 +271,34 @@ def test_staged_entries_straddle_stage_and_copy_ends(name, data):
     hi = e + data.draw(st.integers(0, 40))
     fresh = _staged(name)        # entries must lay out the stages by itself
     assert list(fresh.entries(lo, hi)) == [seq.q(j) for j in range(lo + 1, hi + 1)]
+
+
+@given(a=st.integers(1, 5), r=st.integers(1, 9), lo=st.integers(0, 80),
+       width=st.integers(1, 80))
+@settings(max_examples=100, deadline=None)
+def test_geometric_runs_step_by_one_multiplication(a, r, lo, width):
+    assume(a * r >= 2)
+    g = Geometric(a, r)
+    calls = []
+    q = g.q
+    g.q = lambda n: calls.append(n) or q(n)     # counts the lookups a run makes
+    run = list(g.entries(lo, lo + width))
+    assert len(calls) <= 1
+    assert run == [Geometric(a, r).q(n) for n in range(lo + 1, lo + width + 1)]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9])
+@given(lo=st.integers(2, 2 ** 70), seed=st.integers(0, 10 ** 6),
+       reads=st.lists(st.integers(1, 400), max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_iid_draws_equal_randint_draw_for_draw(width, lo, seed, reads):
+    rng = random.Random(seed)
+    want = [rng.randint(lo, lo + width - 1) for _ in range(500)]
+    one = IID(lo, lo + width - 1, seed)
+    for n in reads:                  # single reads draw runs past the memo
+        before = len(one._memo)
+        assert one.q(n) == want[n - 1]
+        assert len(one._memo) <= max(n, 2 * before)
+    assert [one.q(n) for n in range(1, 501)] == want
+    bulk = IID(lo, lo + width - 1, seed)
+    assert list(bulk.entries(0, 500)) == want
